@@ -4,7 +4,8 @@ __version__ = "0.1.0"
 
 from .bound import (BoundError, BoundReport, CollarData, bound_report,
                     build_test_functions, collar_data, collar_width,
-                    compute_h_general, minimax_certificate, rayleigh)
+                    compute_h_general, lift_distances, minimax_certificate,
+                    rayleigh)
 from .cover import CoverError, CoverSurface, cyclic_cover, verify_deck_symmetry
 from .eigen import (EigensolverError, SpectrumResult, dense_oracle, residuals,
                     solve_smallest)
@@ -20,7 +21,8 @@ __all__ = [
     "__version__", "assemble", "bound_report", "build_surface",
     "build_test_functions", "collar_data", "collar_width", "compute_h_general",
     "curve_from_vertex_cycle", "cut_along", "cyclic_cover", "dense_oracle",
-    "element_mass", "element_stiffness", "minimax_certificate", "rayleigh",
+    "element_mass", "element_stiffness", "lift_distances",
+    "minimax_certificate", "rayleigh",
     "read_hypmesh", "refine", "residuals", "solve_smallest",
     "verify_deck_symmetry", "write_hypmesh",
 ]

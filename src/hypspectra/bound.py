@@ -40,6 +40,7 @@ __all__ = [
     "cross_gram",
     "distance_to_curves",
     "half_collar_areas",
+    "lift_distances",
     "minimax_certificate",
     "rayleigh",
     "vertex_pieces",
@@ -74,6 +75,16 @@ def distance_to_curves(surface: TriangulatedSurface, curves) -> np.ndarray:
     return csgraph.dijkstra(graph, directed=False, indices=sources, min_only=True)
 
 
+def lift_distances(cover: CoverSurface) -> np.ndarray:
+    """(n+1, V) array whose row i-1 is the edge-path distance to lift i.
+
+    The distance to a union of lifts is the elementwise minimum of their
+    rows, bitwise: floating-point d + w is monotone in d, so a
+    multi-source run finds exactly the minimum of the single-source runs.
+    """
+    return np.stack([distance_to_curves(cover.surface, [lift]) for lift in cover.lifts])
+
+
 def vertex_pieces(cover: CoverSurface) -> np.ndarray:
     """Piece index per vertex; 0 for vertices shared between pieces (on lifts)."""
     vp = np.zeros(cover.surface.num_vertices, dtype=np.int64)
@@ -106,24 +117,19 @@ class CollarData:
             raise BoundError(f"ramp width t={self.t!r} outside (0, min(eta, {RAMP_CAP})]")
 
 
-def collar_data(cover: CoverSurface) -> CollarData:
-    """Measure collar data for the cover's designated lifts."""
-    surf = cover.surface
+def collar_data(cover: CoverSurface, lift_dist: np.ndarray) -> CollarData:
+    """Measure collar data for the cover's designated lifts.
+
+    `lift_dist` is `lift_distances(cover)`.
+    """
     lifts = cover.lifts
     l = lifts[0].length
     lemma = collar_width(l)
 
-    graph = surf.vertex_graph()
     clearances = []
-    for i, lift in enumerate(lifts):
+    for i in range(len(lifts)):
         others = sorted({int(v) for j, c in enumerate(lifts) if j != i for v in c.vertices})
-        if not others:
-            clearances.append(math.inf)
-            continue
-        dist = csgraph.dijkstra(graph, directed=False,
-                                indices=sorted(int(v) for v in lift.vertices),
-                                min_only=True)
-        clearances.append(float(dist[others].min()))
+        clearances.append(float(lift_dist[i, others].min()) if others else math.inf)
     eta = min([lemma] + [c / 2.0 for c in clearances])
 
     t_requested = min(eta / 2.0, RAMP_CAP)
@@ -131,7 +137,7 @@ def collar_data(cover: CoverSurface) -> CollarData:
     shrunk = False
     # Every piece needs a vertex the ramp cannot reach, else f_i < 1
     # everywhere on that piece.
-    boundary_dist = distance_to_curves(surf, lifts)
+    boundary_dist = lift_dist.min(axis=0)
     vp = vertex_pieces(cover)
     depths = [boundary_dist[vp == i].max() if np.any(vp == i) else 0.0
               for i in range(1, cover.n + 2)]
@@ -145,7 +151,7 @@ def collar_data(cover: CoverSurface) -> CollarData:
                       t=t, t_requested=t_requested, t_shrunk=shrunk)
 
 
-def build_test_functions(cover: CoverSurface, collar: CollarData,
+def build_test_functions(cover: CoverSurface, collar: CollarData, lift_dist: np.ndarray,
                          variant: str = "two-sided") -> np.ndarray:
     """One ramp function per piece, stacked as rows of an (n+1, dof) array.
 
@@ -155,26 +161,15 @@ def build_test_functions(cover: CoverSurface, collar: CollarData,
     measured from lift i only, which makes the function climb to 1
     almost immediately on the far side of the piece; it is still forced
     to 0 on every vertex shared between pieces.  In both variants
-    distinct functions never share a supporting triangle.
+    distinct functions never share a supporting triangle.  `lift_dist`
+    is `lift_distances(cover)`.
     """
     if variant not in ("two-sided", "one-sided"):
         raise BoundError(f"unknown test-function variant {variant!r}")
-    surf = cover.surface
-    vp = vertex_pieces(cover)
-    t = collar.t
-    k = cover.n + 1
-    fs = np.zeros((k, surf.num_vertices))
-    if variant == "two-sided":
-        dist = distance_to_curves(surf, cover.lifts)
-        ramp = np.clip(dist / t, 0.0, 1.0)
-        for i in range(1, k + 1):
-            fs[i - 1] = np.where(vp == i, ramp, 0.0)
-    else:
-        for i in range(1, k + 1):
-            dist = distance_to_curves(surf, [cover.lifts[i - 1]])
-            ramp = np.clip(dist / t, 0.0, 1.0)
-            fs[i - 1] = np.where(vp == i, ramp, 0.0)
-    return fs
+    dist = lift_dist.min(axis=0) if variant == "two-sided" else lift_dist
+    ramp = np.clip(dist / collar.t, 0.0, 1.0)
+    own = vertex_pieces(cover)[None, :] == np.arange(1, cover.n + 2)[:, None]
+    return np.where(own, ramp, 0.0)
 
 
 def _support_overlap(faces: np.ndarray, fs: np.ndarray):
@@ -241,21 +236,21 @@ def compute_h_general(surface: TriangulatedSurface, piece_a, piece_b,
     return total_len / min(area_a, area_b)
 
 
-def half_collar_areas(cover: CoverSurface, t: float):
+def half_collar_areas(cover: CoverSurface, t: float, lift_dist: np.ndarray):
     """Measured area of {dist <= t} around each lift, split by side.
 
     A triangle counts when all three of its vertices lie within edge
     path distance t of the lift; that region sits inside the true
     t-neighborhood (edge paths overestimate distance and the
     neighborhood is convex within the embedded collar), so each side's
-    area is at most l(gamma) sinh(t).
+    area is at most l(gamma) sinh(t).  `lift_dist` is
+    `lift_distances(cover)`.
     """
     surf = cover.surface
     areas = surf.triangle_areas()
     k = cover.n + 1
     out = []
-    for i, lift in enumerate(cover.lifts, start=1):
-        dist = distance_to_curves(surf, [lift])
+    for i, (lift, dist) in enumerate(zip(cover.lifts, lift_dist), start=1):
         inside = (dist[surf.faces] <= t).all(axis=1)
         side_prev = i             # lift i bounds piece i ...
         side_next = i % k + 1     # ... and piece i+1 (cyclically)
@@ -309,14 +304,14 @@ class BoundReport:
         return d
 
 
-def bound_report(cover: CoverSurface, pencil, spectrum, collar: CollarData = None,
+def bound_report(cover: CoverSurface, pencil, spectrum,
                  variant: str = "two-sided") -> BoundReport:
     """Assemble the full certification report for one cover."""
     n = cover.n
     if len(spectrum.values) < n + 1:
         raise BoundError(f"need at least {n + 1} eigenvalues, got {len(spectrum.values)}")
-    if collar is None:
-        collar = collar_data(cover)
+    lift_dist = lift_distances(cover)
+    collar = collar_data(cover, lift_dist)
 
     l = cover.lifts[0].length
     base_area = cover.base.total_area()
@@ -325,17 +320,17 @@ def bound_report(cover: CoverSurface, pencil, spectrum, collar: CollarData = Non
     c_eta = 2.0 / eta
     bound = c_eta * (h + h * h)
 
-    fs = build_test_functions(cover, collar, variant=variant)
+    fs = build_test_functions(cover, collar, lift_dist, variant=variant)
     quotients = [rayleigh(pencil, f) for f in fs]
     certificate = minimax_certificate(pencil, fs, faces=cover.surface.faces)
     lam = float(spectrum.values[n])
     scale = pencil.stiffness.diagonal().sum() / pencil.dof
     slack = SOLVER_SLACK * scale
 
-    collars = half_collar_areas(cover, t)
+    collars = half_collar_areas(cover, t, lift_dist)
     areas = cover.surface.triangle_areas()
     piece_areas = [float(areas[cover.piece == i].sum()) for i in range(1, n + 2)]
-    boundary_dist = distance_to_curves(cover.surface, cover.lifts)
+    boundary_dist = lift_dist.min(axis=0)
     vp = vertex_pieces(cover)
     plateau = all(np.any((vp == i) & (boundary_dist >= t)) for i in range(1, n + 2))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import norm as spnorm
 
 __all__ = [
     "EigensolverError",
@@ -43,14 +44,17 @@ class SpectrumResult:
 
 
 def residuals(K, B, values, vectors) -> np.ndarray:
-    """Relative residual |Kv - w Bv| / (|Kv| + |w||Bv|) per eigenpair."""
+    """Normwise backward error |Kv - w Bv| / ((|K|_1 + |w| |B|_1) |v|) per eigenpair.
+
+    The matrix norms keep it meaningful for the kernel pair: there Kv and
+    w Bv are both roundoff, so a denominator built from them would be too.
+    """
+    norm_k, norm_b = spnorm(K, 1), spnorm(B, 1)
     out = np.empty(len(values))
     for i, w in enumerate(values):
         v = vectors[:, i]
-        kv = K @ v
-        bv = B @ v
-        denom = np.linalg.norm(kv) + abs(w) * np.linalg.norm(bv)
-        num = np.linalg.norm(kv - w * bv)
+        denom = (norm_k + abs(w) * norm_b) * np.linalg.norm(v)
+        num = np.linalg.norm(K @ v - w * (B @ v))
         out[i] = num / denom if denom > 0 else 0.0
     return out
 

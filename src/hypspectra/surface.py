@@ -244,18 +244,18 @@ class TriangulatedSurface:
 
     def face_adjacency(self, exclude_sides=()) -> sparse.csr_matrix:
         """Unweighted face adjacency; `exclude_sides` sides are not crossed."""
-        sides = self.canonical_sides()
-        if len(exclude_sides):
-            excl = {(int(f), int(s)) for f, s in exclude_sides}
-            excl |= {tuple(int(x) for x in self.glue[f, s]) for f, s in exclude_sides}
-            keep = np.array([(int(f), int(s)) not in excl for f, s in sides], dtype=bool)
-            sides = sides[keep]
-        f, s = sides[:, 0], sides[:, 1]
+        # One entry per side: every side is glued, so each edge enters once
+        # from each of its two sides and the matrix comes out symmetric.
+        cross = np.ones((self.num_faces, 3), dtype=bool)
+        excl = np.asarray(exclude_sides, dtype=np.int64).reshape(-1, 2)
+        partner = self.glue[excl[:, 0], excl[:, 1]]
+        cross[excl[:, 0], excl[:, 1]] = False
+        cross[partner[:, 0], partner[:, 1]] = False
+        f, s = np.nonzero(cross)
         g = self.glue[f, s, 0]
         ones = np.ones(len(f), dtype=np.int8)
         n = self.num_faces
-        mat = sparse.coo_matrix((ones, (f, g)), shape=(n, n))
-        return (mat + mat.T).tocsr()
+        return sparse.coo_matrix((ones, (f, g)), shape=(n, n)).tocsr()
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from hypspectra.bound import (build_test_functions, collar_data, cross_gram,
-                              half_collar_areas)
+                              half_collar_areas, lift_distances)
 from hypspectra.cli import _random_pencil
 from hypspectra.eigen import dense_oracle, solve_smallest
 from hypspectra.fem import assemble
@@ -64,7 +64,8 @@ def test_criterion_3_certificate_with_exact_disjointness(sweep_rows):
         report, pencil, cover = row["report"], row["pencil"], row["cover"]
         slack = 1e-7 * report.scale
         assert report.lambda_n <= report.certificate + slack
-        fs = build_test_functions(cover, collar_data(cover))
+        dist = lift_distances(cover)
+        fs = build_test_functions(cover, collar_data(cover, dist), dist)
         GK, GB = cross_gram(pencil, fs)
         off = ~np.eye(len(fs), dtype=bool)
         assert (GK[off] == 0.0).all() and (GB[off] == 0.0).all()
@@ -143,9 +144,10 @@ def test_criterion_7_collar_area_calibration(sweep_rows, cover_r3):
                 ratio = area / entry["reference"]
                 assert ratio <= 1.10
                 worst_r2 = max(worst_r2, ratio)
-    collar = collar_data(cover_r3)
+    dist = lift_distances(cover_r3)
+    collar = collar_data(cover_r3, dist)
     worst_r3 = 0.0
-    for entry in half_collar_areas(cover_r3, collar.t):
+    for entry in half_collar_areas(cover_r3, collar.t, dist):
         for area in entry["sides"].values():
             ratio = area / entry["reference"]
             assert ratio <= 1.05

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
+import hypspectra.bound as bound_module
 from hypspectra.bound import (RAMP_CAP, BoundError, CollarData,
                               bound_report, build_test_functions, collar_data,
                               collar_width, compute_h_general, cross_gram,
                               distance_to_curves, half_collar_areas,
-                              minimax_certificate, rayleigh, vertex_pieces)
+                              lift_distances, minimax_certificate, rayleigh,
+                              vertex_pieces)
 from hypspectra.eigen import solve_smallest
 from hypspectra.fem import SparsePencil, assemble
 from oracles import FROZEN, H_BOUND, close
@@ -84,7 +86,8 @@ def test_vertex_pieces_partition(small_cover):
 # -- collar data -----------------------------------------------------------------
 
 def test_collar_data_measures_clearances(small_cover):
-    collar = collar_data(small_cover)
+    dist = lift_distances(small_cover)
+    collar = collar_data(small_cover, dist)
     l = small_cover.lifts[0].length
     assert close(collar.lemma_width, collar_width(l))
 
@@ -115,8 +118,9 @@ def test_collar_data_rejects_inconsistent_width():
 
 @pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
 def test_ramp_functions_properties(small_cover, variant):
-    collar = collar_data(small_cover)
-    fs = build_test_functions(small_cover, collar, variant=variant)
+    dist = lift_distances(small_cover)
+    collar = collar_data(small_cover, dist)
+    fs = build_test_functions(small_cover, collar, dist, variant=variant)
     vp = vertex_pieces(small_cover)
     assert fs.shape == (3, small_cover.surface.num_vertices)
     assert fs.min() >= 0.0 and fs.max() <= 1.0
@@ -128,15 +132,17 @@ def test_ramp_functions_properties(small_cover, variant):
 
 
 def test_ramp_variant_rejected(small_cover):
-    collar = collar_data(small_cover)
+    dist = lift_distances(small_cover)
+    collar = collar_data(small_cover, dist)
     with pytest.raises(BoundError):
-        build_test_functions(small_cover, collar, variant="sideways")
+        build_test_functions(small_cover, collar, dist, variant="sideways")
 
 
 @pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
 def test_cross_terms_vanish_exactly(small_cover, variant):
-    collar = collar_data(small_cover)
-    fs = build_test_functions(small_cover, collar, variant=variant)
+    dist = lift_distances(small_cover)
+    collar = collar_data(small_cover, dist)
+    fs = build_test_functions(small_cover, collar, dist, variant=variant)
     pencil = assemble(small_cover.surface)
     GK, GB = cross_gram(pencil, fs)
     off = ~np.eye(3, dtype=bool)
@@ -148,8 +154,9 @@ def test_cross_terms_vanish_exactly(small_cover, variant):
 # -- quotients and the certificate ---------------------------------------------
 
 def test_certificate_is_max_quotient(small_cover):
-    collar = collar_data(small_cover)
-    fs = build_test_functions(small_cover, collar)
+    dist = lift_distances(small_cover)
+    collar = collar_data(small_cover, dist)
+    fs = build_test_functions(small_cover, collar, dist)
     pencil = assemble(small_cover.surface)
     cert = minimax_certificate(pencil, fs, faces=small_cover.surface.faces)
     assert cert == max(rayleigh(pencil, f) for f in fs)
@@ -224,9 +231,10 @@ def test_half_collar_sides(sweep_rows):
 
 
 def test_half_collar_grows_with_width(small_cover):
-    collar = collar_data(small_cover)
-    small = half_collar_areas(small_cover, collar.t / 2.0)
-    big = half_collar_areas(small_cover, collar.t)
+    dist = lift_distances(small_cover)
+    collar = collar_data(small_cover, dist)
+    small = half_collar_areas(small_cover, collar.t / 2.0, dist)
+    big = half_collar_areas(small_cover, collar.t, dist)
     for a, b in zip(small, big):
         for side in a["sides"]:
             assert a["sides"][side] <= b["sides"][side]
@@ -290,3 +298,33 @@ def test_report_round_trips_through_json(sweep_rows):
     assert set(restored["chain_checks"]) == CHAIN_KEYS
     assert len(restored["collar"]["lift_clearances"]) == 3
     assert all(isinstance(c, float) for c in restored["collar"]["lift_clearances"])
+
+
+# -- per-lift distance fields ------------------------------------------------------
+
+def test_lift_distances_union_is_bitwise_min(small_cover, cover_r3):
+    for cover in (small_cover, cover_r3):
+        dist = lift_distances(cover)
+        assert dist.shape == (cover.n + 1, cover.surface.num_vertices)
+        union = distance_to_curves(cover.surface, cover.lifts)
+        assert np.array_equal(dist.min(axis=0), union)
+
+
+@pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
+def test_report_runs_one_dijkstra_per_lift(small_cover, monkeypatch, variant):
+    pencil = assemble(small_cover.surface)
+    spectrum = solve_smallest(pencil, count=4, tol=1e-9, seed=0)
+    real = bound_module.csgraph
+    calls = []
+
+    class CountingCsgraph:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def dijkstra(self, *args, **kwargs):
+            calls.append(list(kwargs["indices"]))
+            return real.dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(bound_module, "csgraph", CountingCsgraph())
+    bound_report(small_cover, pencil, spectrum, variant=variant)
+    assert calls == [sorted(lift.vertices) for lift in small_cover.lifts]

@@ -131,7 +131,7 @@ def test_residuals_small_for_nonkernel_pairs(base_r0):
     scale = pencil.stiffness.diagonal().sum() / pencil.dof
     nonkernel = result.values > 1e-8 * scale
     assert nonkernel[1:].all()
-    assert result.residuals[nonkernel].max() <= 1e-9
+    assert result.residuals.max() <= 1e-9         # the kernel pair included
     assert result.iterations > 0
     assert result.shift < 0
     assert result.values[0] <= 1e-10 * scale      # constant mode

@@ -259,3 +259,28 @@ def test_face_adjacency_is_connected(base_r0):
     surface, _ = base_r0
     n, _ = csgraph.connected_components(surface.face_adjacency(), directed=False)
     assert n == 1
+
+
+def _face_adjacency_by_set(surface, exclude_sides):
+    """Set-membership reference for face_adjacency(exclude_sides=...)."""
+    excl = {(int(f), int(s)) for f, s in exclude_sides}
+    excl |= {tuple(int(x) for x in surface.glue[f, s]) for f, s in exclude_sides}
+    sides = [(int(f), int(s)) for f, s in surface.canonical_sides()
+             if (int(f), int(s)) not in excl]
+    adj = np.zeros((surface.num_faces, surface.num_faces), dtype=np.int64)
+    for f, s in sides:
+        g = int(surface.glue[f, s, 0])
+        adj[f, g] += 1
+        adj[g, f] += 1
+    return adj
+
+
+def test_face_adjacency_excludes_sides_like_set_reference(small_cover):
+    surface = small_cover.surface
+    lift = small_cover.lifts[1]
+    partners = [tuple(int(x) for x in surface.glue[f, s]) for f, s in lift.edges]
+    for exclude in (lift.edges, partners, np.array(lift.edges, dtype=np.int64), ()):
+        got = surface.face_adjacency(exclude_sides=exclude).toarray()
+        assert np.array_equal(got, _face_adjacency_by_set(surface, exclude))
+    removed = surface.face_adjacency().sum() - surface.face_adjacency(exclude_sides=partners).sum()
+    assert removed == 2 * len(lift.edges)
