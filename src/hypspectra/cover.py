@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph
 
-from .surface import MeshCurve, MeshError, TriangulatedSurface, cut_along
+from .surface import CutSurface, MeshCurve, MeshError, TriangulatedSurface, cut_along
 
 __all__ = ["CoverError", "CoverSurface", "cyclic_cover", "verify_deck_symmetry"]
 
@@ -35,7 +35,9 @@ class CoverSurface:
     piece[f] is in 1..n+1; lifts[i-1] is the curve lift bounding piece i
     and piece i+1 (cyclically).  base_face and copy_index identify where
     each cover face came from; deck_face and deck_vertex give the
-    generating deck transformation.
+    generating deck transformation.  cut is the base cut open along the
+    curve, and copy_vertex[k, j] is the cover vertex of cut vertex j in
+    copy k, so deck_vertex maps copy_vertex[k] to copy_vertex[k+1].
     """
 
     surface: TriangulatedSurface
@@ -49,6 +51,8 @@ class CoverSurface:
     deck_face: np.ndarray
     deck_vertex: np.ndarray
     lifts: list
+    cut: CutSurface
+    copy_vertex: np.ndarray
 
 
 def cyclic_cover(surface: TriangulatedSurface, curve: MeshCurve, n: int, N: int) -> CoverSurface:
@@ -102,12 +106,12 @@ def cyclic_cover(surface: TriangulatedSurface, curve: MeshCurve, n: int, N: int)
 
     inv_of = np.full(d * Vc, -1, dtype=np.int64)
     inv_of[uniq] = np.arange(len(uniq))
-    inv_of = inv_of[lab]
+    inv_of = inv_of[lab].reshape(d, Vc)
 
     # Lift i runs along copy (i*N % d)'s left boundary circle.
     def lift_curve(i: int) -> MeshCurve:
         k = (i * N) % d
-        verts = [int(inv_of[k * Vc + int(w)]) for w in cut.left_vertices]
+        verts = [int(inv_of[k, w]) for w in cut.left_vertices]
         edges = [(int(k * Fc + f), int(s)) for f, s in cut.left_edges]
         length = float(sum(cover_surface.lengths[f, s] for f, s in edges))
         adj = cover_surface.face_adjacency(exclude_sides=edges)
@@ -131,6 +135,8 @@ def cyclic_cover(surface: TriangulatedSurface, curve: MeshCurve, n: int, N: int)
         deck_face=deck_face,
         deck_vertex=deck_vertex,
         lifts=lifts,
+        cut=cut,
+        copy_vertex=inv_of,
     )
 
 
@@ -139,7 +145,8 @@ def verify_deck_symmetry(cover: CoverSurface) -> None:
 
     Verifies that deck_face is a permutation whose orbits all have size
     d, that it preserves edge lengths bitwise and commutes with the
-    gluing and with deck_vertex, that the projection to the base
+    gluing and with deck_vertex, that deck_vertex carries each copy of
+    the cut surface onto the next, that the projection to the base
     commutes with gluing, and that the N-th power of the deck map
     shifts pieces and lifts cyclically.  Raises CoverError on any
     failure.
@@ -163,6 +170,9 @@ def verify_deck_symmetry(cover: CoverSurface) -> None:
         raise CoverError("deck map does not preserve edge lengths bitwise")
     if not np.array_equal(cover.deck_vertex[surf.faces], surf.faces[deck]):
         raise CoverError("deck map does not commute with face vertex lists")
+    if not np.array_equal(cover.deck_vertex[cover.copy_vertex],
+                          np.roll(cover.copy_vertex, -1, axis=0)):
+        raise CoverError("deck map does not shift the copies of the cut surface")
 
     gf, gs = surf.glue[..., 0], surf.glue[..., 1]
     if not (np.array_equal(gf[deck], deck[gf]) and np.array_equal(gs[deck], gs)):

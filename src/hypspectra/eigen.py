@@ -1,10 +1,22 @@
-"""Generalized symmetric eigensolvers for the P1 pencil (K, B).
+"""Generalized Hermitian eigensolvers for P1 pencils and for cyclic covers.
 
-Two independent routes to the same spectrum: a sparse shift-invert
-Lanczos solver for production meshes, and a dense whitening solve
-(eigendecompose B, form B^{-1/2} K B^{-1/2}, eigendecompose that) used
-as a cross-check on small problems.  The two share no factorization or
-iteration code, so agreement between them is meaningful evidence.
+`solve_smallest` is a sparse shift-invert Lanczos solver for one pencil
+(K, B), real symmetric or complex Hermitian.  `dense_oracle` reaches the
+same spectrum by a dense whitening solve (eigendecompose B, form
+B^{-1/2} K B^{-1/2}, eigendecompose that) and serves as a cross-check
+on small problems.  The two share no factorization or iteration code,
+so agreement between them is meaningful evidence.
+
+`solve_characters` gives the low spectrum of a degree-d cyclic cover
+without forming the cover (Floquet-Bloch theory; Sunada, Ann. Math.
+1985).  The deck group splits the cover's functions by the characters
+w = exp(2 pi i k / d), and the functions of character k are determined
+by their values on one copy of the cut surface, with phase w across
+the seam.  So character k is a Hermitian pencil over the base
+vertices, built from the cut surface's pencil.  Characters k and d-k
+are complex conjugates with equal spectra, so each such pair is solved
+once and its eigenvalues are counted twice: the double eigenvalues the
+deck symmetry forces come out as exact pairs.
 """
 
 from __future__ import annotations
@@ -12,18 +24,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
 __all__ = [
+    "CharacterSpectrum",
     "EigensolverError",
     "SpectrumResult",
     "dense_oracle",
     "residuals",
+    "solve_characters",
     "solve_smallest",
 ]
 
 DENSE_ORACLE_MAX_DOF = 2000
+
+# Krylov bases as (extra eigenpairs solved for, Krylov vectors per
+# eigenpair, least Krylov vectors).  A single pencil may carry doubles
+# forced by a symmetry, and a Krylov space started from one vector
+# finds the second copy only through roundoff, so solve_smallest keeps
+# a roomy basis.  A character pencil has no deck-forced doubles; the
+# symmetries of the base can still force some, and the lean basis finds
+# them on the default base (see the dense-oracle tests).
+ROOMY_BASIS = (2, 4, 40)
+CHARACTER_BASIS = (1, 2, 10)
 
 
 class EigensolverError(RuntimeError):
@@ -41,6 +66,22 @@ class SpectrumResult:
     dof: int
     shift: float
     tol: float
+
+
+@dataclass
+class CharacterSpectrum:
+    """Smallest eigenvalues of a cyclic cover, gathered over its characters.
+
+    values is ascending, and residuals[i] is the backward error of
+    values[i]'s eigenpair on its character pencil.  solved counts the
+    character pencils solved, iterations the operator applies over all
+    of them.
+    """
+
+    values: np.ndarray
+    residuals: np.ndarray
+    solved: int
+    iterations: int
 
 
 def residuals(K, B, values, vectors) -> np.ndarray:
@@ -65,7 +106,8 @@ def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
 
     Shift-invert Lanczos around a small negative shift (the spectrum is
     nonnegative, so every wanted eigenvalue is on the near side of the
-    shift).  `iterations` reports how many times the factorized
+    shift).  A complex Hermitian pencil goes through ARPACK's complex
+    routine.  `iterations` reports how many times the factorized
     operator was applied.  The starting vector is seeded, so repeated
     runs are reproducible.  Problems too small for the sparse path fall
     back to the dense route.
@@ -77,11 +119,19 @@ def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
         raise EigensolverError("count must be at least 1")
     if count > n:
         raise EigensolverError(f"asked for {count} eigenvalues of a {n}-dof problem")
+    return _shift_invert(K, B, count, ROOMY_BASIS, tol, seed, maxiter)
 
-    scale = K.diagonal().sum() / n
+
+def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
+                  maxiter) -> SpectrumResult:
+    n = K.shape[0]
+    dtype = np.result_type(K.dtype, B.dtype, np.float64)
+    scale = K.diagonal().sum().real / n
     sigma = -1e-2 * scale
+    # ARPACK's symmetric routine needs k < n, the complex one k < n - 1.
+    k_max = n - 2 if np.issubdtype(dtype, np.complexfloating) else n - 1
 
-    if count >= n - 1:
+    if count >= k_max:
         values, vectors = _dense_pairs(K.toarray(), B.toarray(), count)
         res = residuals(K, B, values, vectors)
         return SpectrumResult(values, vectors, res, iterations=0, dof=n,
@@ -98,15 +148,12 @@ def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
         applies += 1
         return lu.solve(x)
 
-    opinv = LinearOperator((n, n), matvec=apply_inv, dtype=np.float64)
+    opinv = LinearOperator((n, n), matvec=apply_inv, dtype=dtype)
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    # Solve for a couple of extra pairs with a roomy basis: a Krylov
-    # space started from one vector finds repeated eigenvalues only
-    # through roundoff, and a tight basis can converge before the
-    # second copy of a degenerate pair shows up.
-    k_solve = min(count + 2, n - 1)
-    ncv = min(n, max(4 * k_solve + 1, 40))
+    v0 = rng.standard_normal(n).astype(dtype)
+    extra, per_pair, least = basis
+    k_solve = min(count + extra, k_max)
+    ncv = min(n, max(per_pair * k_solve + 1, least))
     try:
         values, vectors = eigsh(K, k=k_solve, M=B, sigma=sigma, OPinv=opinv,
                                 v0=v0, ncv=ncv, tol=tol, maxiter=maxiter)
@@ -125,9 +172,9 @@ def _dense_pairs(K: np.ndarray, B: np.ndarray, count: int):
     s, U = np.linalg.eigh(B)
     if s.min() <= 0:
         raise EigensolverError("mass matrix is not positive definite")
-    whiten = U @ np.diag(1.0 / np.sqrt(s)) @ U.T
+    whiten = U @ np.diag(1.0 / np.sqrt(s)) @ U.conj().T
     C = whiten @ K @ whiten
-    C = 0.5 * (C + C.T)
+    C = 0.5 * (C + C.conj().T)
     w, Y = np.linalg.eigh(C)
     V = whiten @ Y[:, :count]
     return w[:count].copy(), V
@@ -150,3 +197,86 @@ def dense_oracle(pencil, count: int) -> SpectrumResult:
     res = residuals(K, B, values, vectors)
     return SpectrumResult(values, vectors, res, iterations=0,
                           dof=n, shift=0.0, tol=0.0)
+
+
+def _phase_parts(pencil, base_vertex: np.ndarray, seam) -> tuple:
+    """The cut pencil's entries summed onto the base pattern, by phase.
+
+    Returns (indptr, indices, stiffness, mass).  stiffness[p] and
+    mass[p] are CSR data arrays over one shared base pattern: p = 0 sums
+    the entries whose two vertices are both on the seam circle or both
+    off it, p = 1 those whose column vertex alone is on it, p = 2 those
+    whose row vertex alone is on it.  Character w's pencil has data
+    [p0 + w p1 + conj(w) p2].
+    """
+    V = int(base_vertex.max()) + 1
+    on_seam = np.zeros(len(base_vertex), dtype=bool)
+    on_seam[np.asarray(seam, dtype=np.int64)] = True
+    K, B = pencil.stiffness.tocoo(), pencil.mass.tocoo()
+    row = np.concatenate([K.row, B.row])
+    col = np.concatenate([K.col, B.col])
+    keys, pos = np.unique(base_vertex[row] * V + base_vertex[col], return_inverse=True)
+    phase = np.where(on_seam[row] == on_seam[col], 0, np.where(on_seam[col], 1, 2))
+    slot = phase * len(keys) + pos
+
+    def parts(sel, data):
+        summed = np.bincount(slot[sel], weights=data, minlength=3 * len(keys))
+        return summed.reshape(3, len(keys))
+
+    indptr = np.searchsorted(keys, np.arange(V + 1) * V)
+    indices = keys % V
+    return (indptr, indices, parts(slice(0, K.nnz), K.data),
+            parts(slice(K.nnz, None), B.data))
+
+
+def solve_characters(pencil, base_vertex, seam, degree: int, count: int,
+                     tol: float = 1e-9, seed: int = 0) -> CharacterSpectrum:
+    """The `count` smallest eigenvalues of a degree-`degree` cyclic cover.
+
+    `pencil` is assembled on the base cut open along the cover's curve:
+    base_vertex[j] is the base vertex of cut vertex j, and `seam` lists
+    the cut vertices of the boundary circle that copy m glues to the
+    other circle of copy m+1.  A function of character w = exp(2 pi i
+    k / d) on the cover takes w^m phi(base_vertex[j]) at cut vertex j
+    of copy m, and w^(m+1) phi on the seam.  The pencil of phi is
+    (P^H K P, P^H B P), where P maps cut vertex j to base vertex
+    base_vertex[j] with phase w on the seam.  Each k in 0..d//2 is
+    solved by shift-invert with CHARACTER_BASIS; a k with 0 < k < d/2
+    stands for k and d-k and contributes each of its eigenvalues twice,
+    so it is asked for ceil(count/2) of them.
+    """
+    base_vertex = np.asarray(base_vertex, dtype=np.int64)
+    if degree < 1:
+        raise EigensolverError("cover degree must be at least 1")
+    V = int(base_vertex.max()) + 1
+    if count < 1:
+        raise EigensolverError("count must be at least 1")
+    if count > degree * V:
+        raise EigensolverError(
+            f"asked for {count} eigenvalues of a {degree * V}-dof cover")
+    indptr, indices, kparts, bparts = _phase_parts(pencil, base_vertex, seam)
+
+    values, res = [], []
+    applies = 0
+    for k in range(degree // 2 + 1):
+        paired = 0 < 2 * k < degree
+        if paired:
+            w = np.exp(2j * np.pi * k / degree)
+        else:
+            w = 1.0 if k == 0 else -1.0
+
+        K, B = (sparse.csr_matrix((p[0] + w * p[1] + np.conj(w) * p[2], indices, indptr),
+                                  shape=(V, V)) for p in (kparts, bparts))
+        want = min(-(-count // 2) if paired else count, V)
+        try:
+            result = _shift_invert(K, B, want, CHARACTER_BASIS, tol, seed, None)
+        except EigensolverError as e:
+            raise EigensolverError(f"character k={k} of degree {degree}: {e}") from e
+        applies += result.iterations
+        copies = 2 if paired else 1
+        values.append(np.repeat(result.values, copies))
+        res.append(np.repeat(result.residuals, copies))
+    values = np.concatenate(values)
+    order = np.argsort(values, kind="stable")[:count]
+    return CharacterSpectrum(values=values[order], residuals=np.concatenate(res)[order],
+                             solved=degree // 2 + 1, iterations=applies)

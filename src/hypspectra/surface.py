@@ -792,6 +792,32 @@ def read_hypmesh(path):
     if surface.genus != genus:
         raise MeshError(f"header genus {genus} but mesh has genus {surface.genus}")
 
+    def ints(no, fields, what):
+        try:
+            return [int(p) for p in fields]
+        except ValueError:
+            got = " ".join(fields)
+            raise MeshError(f"line {no}: expected integer {what}, got {got!r}") from None
+
+    def header(no, parts, layout, skip=1):
+        """Integer fields of a block header after its first `skip` fields."""
+        if len(parts) != len(layout.split()):
+            raise MeshError(f"line {no}: expected '{layout}'")
+        values = ints(no, parts[skip:], "header fields")
+        if values[-1] < 0:
+            raise MeshError(f"line {no}: negative count {values[-1]}")
+        return values
+
+    def read_face_ids(count, what):
+        out = []
+        for _ in range(count):
+            no, ln = rd.next(what)
+            (f,) = ints(no, [ln], what)
+            if not 0 <= f < nf:
+                raise MeshError(f"line {no}: face {f} does not exist")
+            out.append(f)
+        return np.array(out, dtype=np.int64)
+
     def read_side_list(count, what):
         out = []
         for _ in range(count):
@@ -799,7 +825,7 @@ def read_hypmesh(path):
             parts = ln.split()
             if len(parts) != 2:
                 raise MeshError(f"line {no}: expected 'face side'")
-            f, s = int(parts[0]), int(parts[1])
+            f, s = ints(no, parts, "face and side")
             if not (0 <= f < nf and 0 <= s < 3):
                 raise MeshError(f"line {no}: side {f} {s} does not exist")
             out.append((f, s))
@@ -819,32 +845,24 @@ def read_hypmesh(path):
         no, ln = rd.next("block")
         parts = ln.split()
         if parts[0] == "CURVE":
-            if len(parts) != 3:
-                raise MeshError(f"line {no}: expected 'CURVE <name> <edges>'")
-            name, cnt = parts[1], int(parts[2])
+            (cnt,) = header(no, parts, "CURVE <name> <edges>", skip=2)
+            name = parts[1]
             curves[name] = curve_from_sides(read_side_list(cnt, f"curve {name}"), f"CURVE {name}")
         elif parts[0] == "DECK":
-            if len(parts) != 2:
-                raise MeshError(f"line {no}: expected 'DECK <degree>'")
-            degree = int(parts[1])
-            deck = np.empty(nf, dtype=np.int64)
-            for f in range(nf):
-                no2, ln2 = rd.next("deck permutation")
-                deck[f] = int(ln2)
+            (degree,) = header(no, parts, "DECK <degree>")
+            deck = read_face_ids(nf, "deck image")
+            if not np.array_equal(np.sort(deck), np.arange(nf)):
+                raise MeshError(f"line {no}: DECK is not a permutation of the faces 0..{nf - 1}")
             cover_info = {"degree": degree, "deck_face": deck, "pieces": {}, "lifts": []}
         elif parts[0] == "PIECE":
             if cover_info is None:
                 raise MeshError(f"line {no}: PIECE block before DECK")
-            idx, cnt = int(parts[1]), int(parts[2])
-            members = []
-            for _ in range(cnt):
-                no2, ln2 = rd.next("piece member")
-                members.append(int(ln2))
-            cover_info["pieces"][idx] = np.array(members, dtype=np.int64)
+            idx, cnt = header(no, parts, "PIECE <index> <count>")
+            cover_info["pieces"][idx] = read_face_ids(cnt, "piece member")
         elif parts[0] == "LIFT":
             if cover_info is None:
                 raise MeshError(f"line {no}: LIFT block before DECK")
-            idx, cnt = int(parts[1]), int(parts[2])
+            idx, cnt = header(no, parts, "LIFT <index> <edges>")
             lift = curve_from_sides(read_side_list(cnt, f"lift {idx}"), f"LIFT {idx}")
             cover_info["lifts"].append(lift)
         else:

@@ -162,6 +162,12 @@ def test_sweep_outputs(sweep_dir):
     assert all(doc["asserted"].values())
     assert [row["N"] for row in doc["rows"]] == [1, 2]
     assert doc["rows"][0]["report"]["testfn_variant"] == "two-sided"
+    for row in doc["rows"]:
+        eigen = row["eigen"]
+        assert set(eigen) == {"characters", "operator_applies", "max_residual"}
+        assert eigen["characters"] == row["d"] // 2 + 1
+        assert eigen["operator_applies"] > 0
+        assert 0 <= eigen["max_residual"] <= 1e-12
 
 
 def test_sweep_rerun_identical_modulo_timestamp(sweep_dir):
@@ -177,7 +183,7 @@ def test_sweep_records_solver_failures(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise EigensolverError("injected failure")
 
-    monkeypatch.setattr("hypspectra.cli.solve_smallest", explode)
+    monkeypatch.setattr("hypspectra.cli.solve_characters", explode)
     out = tmp_path / "run"
     assert main(["sweep", "--out", str(out)] + TINY) == 1
     doc = json.loads((out / "sweep.json").read_text())
@@ -187,6 +193,20 @@ def test_sweep_records_solver_failures(tmp_path, monkeypatch):
     header, rows = read_csv(out / "sweep.csv")
     assert [r[header.index("failed")] for r in rows] == ["true", "true"]
     assert [r[header.index("lambda_0")] for r in rows] == ["", ""]
+
+
+def test_sweep_pairs_deck_forced_double_eigenvalue(tmp_path):
+    # Full-cover Lanczos used to return one copy of lambda_1 = lambda_2
+    # at N = 24 and N = 64; the character solve returns both, exactly.
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out), "--refine", "1", "--n", "2",
+                 "--N", "16,24,32,64"]) == 0
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [row["N"] for row in doc["rows"]] == [16, 24, 32, 64]
+    for row in doc["rows"]:
+        assert row["lambda"][1] == row["lambda"][2]
+        assert row["certificate_holds"] and row["bound_holds"]
+    assert doc["asserted"]["lambda_n_non_increasing"] is True
 
 
 def test_sweep_testfn_variant_flows_through(tmp_path):
@@ -257,6 +277,7 @@ def test_oracle_check_all_pass(tmp_path):
                      "cone_angles_flat",
                      "area_matches_curvature_total",
                      "euler_characteristic_multiplicative",
+                     "floquet_vs_dense_cover",
                      "deck_relabeling_preserves_pencil_bits",
                      "h_scales_inversely_with_N"]
     assert all(c["passed"] for c in doc["checks"])

@@ -107,3 +107,23 @@ def test_cover_of_refined_base(base_levels):
     verify_deck_symmetry(cover)
     assert cover.surface.genus == 7
     assert abs(cover.surface.total_area() - 6 * 4 * math.pi) <= 1e-7
+
+
+def test_copy_vertex_map_tiles_the_cut(base_r0):
+    surface, gamma = base_r0
+    cover = cyclic_cover(surface, gamma, n=1, N=2)
+    cut = cover.cut
+    assert cover.copy_vertex.shape == (cover.degree, cut.num_vertices)
+    # every cover vertex comes from some copy, and no copy uses one twice
+    assert np.array_equal(np.unique(cover.copy_vertex),
+                          np.arange(cover.surface.num_vertices))
+    for row in cover.copy_vertex:
+        assert len(np.unique(row)) == cut.num_vertices
+    # copy k's faces are the cut faces relabeled through copy_vertex[k]
+    faces = cover.surface.faces.reshape(cover.degree, surface.num_faces, 3)
+    for k in range(cover.degree):
+        assert np.array_equal(faces[k], cover.copy_vertex[k][cut.faces])
+    # the seam: copy k's right circle is copy k+1's left circle
+    right = cover.copy_vertex[:, cut.right_vertices]
+    left = cover.copy_vertex[:, cut.left_vertices]
+    assert np.array_equal(right, np.roll(left, -1, axis=0))

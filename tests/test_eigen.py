@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, eye
 
+from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, EigensolverError,
-                              dense_oracle, residuals, solve_smallest)
+                              dense_oracle, residuals, solve_characters,
+                              solve_smallest)
 from hypspectra.fem import SparsePencil, assemble
 
 
@@ -75,6 +77,20 @@ def test_sparse_matches_dense_on_meshes(base_levels, small_cover):
         dense_result = dense_oracle(pencil, count=6)
         gap = np.abs(sparse_result.values - dense_result.values)
         assert (gap <= 1e-8 * np.maximum(1.0, np.abs(dense_result.values))).all()
+
+
+def test_complex_hermitian_matches_dense():
+    rng = np.random.default_rng(5)
+    size = 60
+    G = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    E = (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))) / size
+    pencil = pencil_from_dense(G.conj().T @ G, 0.5 * np.eye(size) + E.conj().T @ E)
+    sparse_result = solve_smallest(pencil, count=5, tol=1e-10, seed=0)
+    dense_result = dense_oracle(pencil, count=5)
+    assert sparse_result.iterations > 0
+    assert np.abs(sparse_result.values - dense_result.values).max() <= \
+        1e-9 * dense_result.values.max()
+    assert sparse_result.residuals.max() <= 1e-9
 
 
 # -- robustness ------------------------------------------------------------------
@@ -176,3 +192,96 @@ def test_dense_oracle_rejects_huge_problems():
     B = eye(n, format="csr")
     with pytest.raises(EigensolverError):
         dense_oracle(SparsePencil(stiffness=K, mass=B), count=2)
+
+
+# -- character solves for cyclic covers --------------------------------------------
+
+def cover_characters(cover, mass="consistent", count=None):
+    cut_pencil = assemble(cover.cut, mass=mass)
+    count = cover.n + 2 if count is None else count
+    return solve_characters(cut_pencil, cover.cut.base_vertex, cover.cut.right_vertices,
+                            cover.degree, count=count, tol=1e-9, seed=0)
+
+
+def assert_matches(values, reference, scale, rel=1e-10):
+    """Relative agreement; lambda_0, the kernel, is measured against scale."""
+    assert len(values) == len(reference)
+    floor = np.r_[scale, np.abs(reference[1:])]
+    assert np.all(np.abs(values - reference) <= rel * floor), (values, reference)
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+@pytest.mark.parametrize("n, N", [(0, 1), (1, 2), (2, 4), (2, 8)])
+def test_characters_match_dense_cover(base_r0, n, N, mass):
+    surface, gamma = base_r0
+    cover = cyclic_cover(surface, gamma, n=n, N=N)
+    full = assemble(cover.surface, mass=mass)
+    assert full.dof <= 1536
+    result = cover_characters(cover, mass)
+    scale = full.stiffness.diagonal().sum() / full.dof
+    assert_matches(result.values, dense_oracle(full, count=n + 2).values, scale)
+    assert result.solved == cover.degree // 2 + 1
+    assert result.residuals.max() <= 1e-12
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+def test_characters_find_degenerate_base_eigenvalues(base_r0, mass):
+    # The (2, 2, 2) base has a double eigenvalue among its lowest five.
+    # On the identity cover it sits inside the single character k = 0,
+    # where no pairing of characters supplies the second copy.
+    surface, gamma = base_r0
+    cover = cyclic_cover(surface, gamma, n=0, N=1)
+    full = assemble(cover.surface, mass=mass)
+    reference = dense_oracle(full, count=6).values
+    assert reference[3] - reference[2] <= 1e-12 * reference[3]
+    result = cover_characters(cover, mass, count=6)
+    scale = full.stiffness.diagonal().sum() / full.dof
+    assert_matches(result.values, reference, scale)
+    assert result.solved == 1
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_characters_match_full_cover_solver(base_levels, N):
+    surface, gamma = base_levels[1]
+    cover = cyclic_cover(surface, gamma, n=2, N=N)
+    full = assemble(cover.surface)
+    reference = solve_smallest(full, count=4, tol=1e-9, seed=0).values
+    scale = full.stiffness.diagonal().sum() / full.dof
+    assert_matches(cover_characters(cover).values, reference, scale)
+
+
+def test_conjugate_characters_give_exact_pairs(base_levels):
+    surface, gamma = base_levels[1]
+    cover = cyclic_cover(surface, gamma, n=3, N=4)
+    result = cover_characters(cover)
+    assert result.values[1] == result.values[2]
+    assert result.values[3] == result.values[4]
+    assert result.residuals[1] == result.residuals[2]
+    assert np.all(np.diff(result.values) >= 0)
+
+
+def test_characters_deterministic_bitwise(small_cover):
+    r1, r2 = cover_characters(small_cover), cover_characters(small_cover)
+    assert r1.values.tobytes() == r2.values.tobytes()
+    assert r1.residuals.tobytes() == r2.residuals.tobytes()
+    assert r1.iterations == r2.iterations > 0
+
+
+def test_characters_reject_bad_arguments(small_cover):
+    cut_pencil = assemble(small_cover.cut)
+    args = (cut_pencil, small_cover.cut.base_vertex, small_cover.cut.right_vertices)
+    dof = small_cover.surface.num_vertices
+    with pytest.raises(EigensolverError):
+        solve_characters(*args, degree=3, count=0)
+    with pytest.raises(EigensolverError):
+        solve_characters(*args, degree=0, count=2)
+    with pytest.raises(EigensolverError):
+        solve_characters(*args, degree=3, count=dof + 1)
+
+
+def test_character_failure_names_the_character(small_cover):
+    cut_pencil = assemble(small_cover.cut)
+    broken = SparsePencil(stiffness=0 * cut_pencil.stiffness, mass=0 * cut_pencil.mass)
+    with pytest.raises(EigensolverError, match="character k=0 of degree 3"):
+        solve_characters(broken, small_cover.cut.base_vertex,
+                         small_cover.cut.right_vertices, degree=3, count=4)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypspectra.fem import assemble, element_mass, element_stiffness, refine
+from hypspectra.cover import cyclic_cover
+from hypspectra.fem import assemble, element_mass, element_stiffness, glue_copies, refine
 from hypspectra.hypgeom import GeometryError, triangle_areas
 
 side = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)
@@ -160,16 +161,35 @@ def test_assemble_deterministic_bits(base_r0):
     assert p1.mass.data.tobytes() == p2.mass.data.tobytes()
 
 
+def assert_deck_equivariant_bits(mat, deck_vertex):
+    inv = np.empty_like(deck_vertex)
+    inv[deck_vertex] = np.arange(len(deck_vertex))
+    moved = mat[inv][:, inv].tocsr()
+    moved.sort_indices()
+    ref = mat.copy()
+    ref.sort_indices()
+    assert np.array_equal(moved.indptr, ref.indptr)
+    assert np.array_equal(moved.indices, ref.indices)
+    assert moved.data.tobytes() == ref.data.tobytes()
+
+
 def test_assemble_deck_equivariant_bits(small_cover):
     pencil = assemble(small_cover.surface)
-    perm = small_cover.deck_vertex
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
     for mat in (pencil.stiffness, pencil.mass):
-        moved = mat[inv][:, inv].tocsr()
-        moved.sort_indices()
-        ref = mat.copy()
-        ref.sort_indices()
-        assert np.array_equal(moved.indptr, ref.indptr)
-        assert np.array_equal(moved.indices, ref.indices)
-        assert moved.data.tobytes() == ref.data.tobytes()
+        assert_deck_equivariant_bits(mat, small_cover.deck_vertex)
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+@pytest.mark.parametrize("n, N", [(1, 1), (2, 1), (2, 4)])
+def test_glued_pencil_matches_cover_assembly(base_r0, n, N, mass):
+    surface, gamma = base_r0
+    cover = cyclic_cover(surface, gamma, n=n, N=N)
+    glued = glue_copies(assemble(cover.cut, mass=mass), cover.copy_vertex)
+    direct = assemble(cover.surface, mass=mass)
+    assert glued.dof == direct.dof == cover.surface.num_vertices
+    for mine, ref in ((glued.stiffness, direct.stiffness), (glued.mass, direct.mass)):
+        assert mine.has_canonical_format and ref.has_canonical_format
+        assert np.array_equal(mine.indptr, ref.indptr)
+        assert np.array_equal(mine.indices, ref.indices)
+        assert np.abs(mine.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+        assert_deck_equivariant_bits(mine, cover.deck_vertex)

@@ -245,6 +245,58 @@ def test_hypmesh_rejects_bad_glue_target(tmp_path, base_r0):
         read_hypmesh(bad)
 
 
+def _cover_lines(tmp_path, cover):
+    path = tmp_path / "cover.hypmesh"
+    write_hypmesh(path, cover.surface, curves={"lift": cover.lifts[0]}, cover=cover)
+    return path.read_text().splitlines()
+
+
+def test_hypmesh_cover_roundtrip(tmp_path, small_cover):
+    _write_lines(tmp_path / "back.hypmesh", _cover_lines(tmp_path, small_cover))
+    _, curves, info = read_hypmesh(tmp_path / "back.hypmesh")
+    assert info["degree"] == small_cover.degree
+    assert np.array_equal(info["deck_face"], small_cover.deck_face)
+    for i, members in info["pieces"].items():
+        assert np.array_equal(members, np.flatnonzero(small_cover.piece == i))
+    assert [lift.edges for lift in info["lifts"]] == [lift.edges for lift in small_cover.lifts]
+    assert curves["lift"].edges == small_cover.lifts[0].edges
+
+
+@pytest.mark.parametrize("block, offset, text, message", [
+    ("CURVE", 0, "CURVE lift eight", "integer"),
+    ("CURVE", 0, "CURVE lift", "expected 'CURVE"),
+    ("CURVE", 1, "3 side", "integer"),
+    ("DECK", 0, "DECK 3.0", "integer"),
+    ("DECK", 1, "1.5", "integer"),
+    ("DECK", 1, "100000", "does not exist"),
+    ("PIECE", 0, "PIECE 1 many", "integer"),
+    ("PIECE", 0, "PIECE 1", "expected 'PIECE"),
+    ("PIECE", 1, "face", "integer"),
+    ("LIFT", 0, "LIFT one 8", "integer"),
+    ("LIFT", 0, "LIFT 1 -8", "negative"),
+    ("LIFT", 1, "0 x", "integer"),
+])
+def test_hypmesh_rejects_malformed_blocks(tmp_path, small_cover, block, offset, text,
+                                          message):
+    lines = _cover_lines(tmp_path, small_cover)
+    at = next(i for i, ln in enumerate(lines) if ln.split()[0] == block) + offset
+    lines[at] = text
+    bad = tmp_path / "bad.hypmesh"
+    _write_lines(bad, lines)
+    with pytest.raises(MeshError, match=f"^line {at + 1}: .*{message}"):
+        read_hypmesh(bad)
+
+
+def test_hypmesh_rejects_deck_that_is_not_a_permutation(tmp_path, small_cover):
+    lines = _cover_lines(tmp_path, small_cover)
+    deck = next(i for i, ln in enumerate(lines) if ln.startswith("DECK"))
+    lines[deck + 2] = lines[deck + 1]
+    bad = tmp_path / "bad.hypmesh"
+    _write_lines(bad, lines)
+    with pytest.raises(MeshError, match=f"^line {deck + 1}: DECK is not a permutation"):
+        read_hypmesh(bad)
+
+
 # -- graph helpers --------------------------------------------------------------
 
 def test_vertex_graph_is_symmetric_positive(base_r0):
