@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .bound import (BoundError, BoundReport, CollarData, bound_report,
                     build_test_functions, collar_data, collar_width,
-                    compute_h_general, lift_distances, minimax_certificate,
-                    rayleigh)
+                    lift_distances, minimax_certificate, rayleigh)
 from .cover import CoverError, CoverSurface, cyclic_cover, verify_deck_symmetry
 from .eigen import (CharacterSpectrum, EigensolverError, SpectrumResult, dense_oracle,
                     residuals, solve_characters, solve_smallest)
@@ -21,7 +20,7 @@ __all__ = [
     "CurveError", "EigensolverError", "FenchelNielsenSpec", "MeshCurve",
     "MeshError", "SparsePencil", "SpectrumResult", "TriangulatedSurface",
     "__version__", "assemble", "bound_report", "build_surface",
-    "build_test_functions", "collar_data", "collar_width", "compute_h_general",
+    "build_test_functions", "collar_data", "collar_width",
     "curve_from_vertex_cycle", "cut_along", "cyclic_cover", "dense_oracle",
     "element_mass", "element_stiffness", "glue_copies", "lift_distances",
     "minimax_certificate", "rayleigh",

@@ -3,10 +3,13 @@
 Everything here certifies inequalities about the assembled pencil, so
 conservative choices are made throughout: vertex distances are shortest
 edge paths (which overestimate geodesic distance, making the ramp
-functions admissible), the collar half-width is the minimum of the
-collar-lemma width and half the measured clearance between lifts, and
-the support-disjointness hypothesis of the minimax principle is checked
-triangle by triangle rather than assumed.
+functions admissible), the collar half-width is the collar-lemma width,
+and the support-disjointness hypothesis of the minimax principle is
+checked triangle by triangle rather than assumed.  The lifts are
+disjoint simple closed geodesics, so their collars of that width are
+disjoint (Buser, Geometry and Spectra of Compact Riemann Surfaces,
+Thm 4.1.1); `oracle-check` measures the edge-path clearance between
+lifts against it.
 
 The report evaluates the inequality chain behind the bound step by
 step on the actual numbers and records which steps hold; one step
@@ -36,7 +39,6 @@ __all__ = [
     "build_test_functions",
     "collar_data",
     "collar_width",
-    "compute_h_general",
     "cross_gram",
     "distance_to_curves",
     "half_collar_areas",
@@ -100,14 +102,12 @@ def vertex_pieces(cover: CoverSurface) -> np.ndarray:
 class CollarData:
     """Certified collar half-width eta and the ramp width t actually used.
 
-    eta is min(collar-lemma width, half the measured clearance between
-    distinct lifts); t is eta/2 capped at RAMP_CAP, shrunk further (and
-    flagged) when some piece is too thin for the ramp to reach 1.
+    eta is the collar-lemma width collar_width(l) of the lifts; t is
+    eta/2 capped at RAMP_CAP, shrunk further (and flagged) when some
+    piece is too thin for the ramp to reach 1.
     """
 
     eta: float
-    lemma_width: float
-    lift_clearances: tuple
     t: float
     t_requested: float
     t_shrunk: bool
@@ -118,20 +118,12 @@ class CollarData:
 
 
 def collar_data(cover: CoverSurface, lift_dist: np.ndarray) -> CollarData:
-    """Measure collar data for the cover's designated lifts.
+    """Collar data for the cover's designated lifts.
 
-    `lift_dist` is `lift_distances(cover)`.
+    `lift_dist` is `lift_distances(cover)`; it sets how deep each piece
+    reaches, which can shrink the ramp width below eta/2.
     """
-    lifts = cover.lifts
-    l = lifts[0].length
-    lemma = collar_width(l)
-
-    clearances = []
-    for i in range(len(lifts)):
-        others = sorted({int(v) for j, c in enumerate(lifts) if j != i for v in c.vertices})
-        clearances.append(float(lift_dist[i, others].min()) if others else math.inf)
-    eta = min([lemma] + [c / 2.0 for c in clearances])
-
+    eta = collar_width(cover.lifts[0].length)
     t_requested = min(eta / 2.0, RAMP_CAP)
     t = t_requested
     shrunk = False
@@ -147,8 +139,7 @@ def collar_data(cover: CoverSurface, lift_dist: np.ndarray) -> CollarData:
         shrunk = True
         if t <= 0:
             raise BoundError("a piece has no interior vertex; mesh too coarse for ramps")
-    return CollarData(eta=eta, lemma_width=lemma, lift_clearances=tuple(clearances),
-                      t=t, t_requested=t_requested, t_shrunk=shrunk)
+    return CollarData(eta=eta, t=t, t_requested=t_requested, t_shrunk=shrunk)
 
 
 def build_test_functions(cover: CoverSurface, collar: CollarData, lift_dist: np.ndarray,
@@ -217,25 +208,6 @@ def minimax_certificate(pencil, fs, faces=None) -> float:
     return max(rayleigh(pencil, f) for f in fs)
 
 
-def compute_h_general(surface: TriangulatedSurface, piece_a, piece_b,
-                      interface_curves) -> float:
-    """Interface length over the smaller piece area, for a two-piece split."""
-    piece_a = np.asarray(piece_a, dtype=np.int64)
-    piece_b = np.asarray(piece_b, dtype=np.int64)
-    if len(piece_a) == 0 or len(piece_b) == 0:
-        raise BoundError("both pieces must be nonempty")
-    together = np.concatenate([piece_a, piece_b])
-    if not np.array_equal(np.sort(together), np.arange(surface.num_faces)):
-        raise BoundError("pieces must partition the faces")
-    areas = surface.triangle_areas()
-    area_a = float(areas[piece_a].sum())
-    area_b = float(areas[piece_b].sum())
-    total_len = float(sum(c.length for c in interface_curves))
-    if total_len <= 0:
-        raise BoundError("interface must have positive length")
-    return total_len / min(area_a, area_b)
-
-
 def half_collar_areas(cover: CoverSurface, t: float, lift_dist: np.ndarray):
     """Measured area of {dist <= t} around each lift, split by side.
 
@@ -294,9 +266,6 @@ class BoundReport:
         d = {k: v for k, v in self.__dict__.items() if k != "collar"}
         d["collar"] = {
             "eta": self.collar.eta,
-            "lemma_width": self.collar.lemma_width,
-            "lift_clearances": [c if math.isfinite(c) else None
-                                for c in self.collar.lift_clearances],
             "t": self.collar.t,
             "t_requested": self.collar.t_requested,
             "t_shrunk": self.collar.t_shrunk,

@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import __version__
-from .bound import BoundError, bound_report
+from .bound import BoundError, bound_report, collar_width, lift_distances
 from .cover import cyclic_cover
 from .eigen import EigensolverError, dense_oracle, solve_characters, solve_smallest
 from .fem import SparsePencil, assemble, glue_copies, refine
@@ -165,30 +166,20 @@ def load_config(args) -> RunConfig:
     """Defaults, then config file, then flags; flags win."""
     raw = parse_config_file(args.config) if args.config else {}
     config = _config_from_raw(raw)
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.N is not None:
-        overrides["N"] = tuple(_parse_number_list(args.N, None, int))
-    if args.refine is not None:
-        overrides["refine"] = args.refine
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mass is not None:
-        overrides["mass"] = args.mass
-    if args.testfn is not None:
-        overrides["testfn"] = args.testfn
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    overrides = {key: getattr(args, key)
+                 for key in ("n", "N", "refine", "tol", "out", "seed", "mass", "testfn")
+                 if getattr(args, key) is not None}
+    if "N" in overrides:
+        overrides["N"] = tuple(_parse_number_list(overrides["N"], None, int))
+    return replace(config, **overrides)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _envelope(config: RunConfig) -> dict:
+    """Head of every JSON document: when, which version, which config."""
+    return {"timestamp": datetime.now(timezone.utc).isoformat(),
+            "version": __version__,
+            "config_hash": config_hash(config),
+            "config": config.as_dict()}
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -295,10 +286,7 @@ def cmd_build(config: RunConfig) -> int:
         record(path, cover.surface)
 
     _write_json(out / "build.json", {
-        "timestamp": _timestamp(),
-        "version": __version__,
-        "config_hash": config_hash(config),
-        "config": config.as_dict(),
+        **_envelope(config),
         "base_genus": base.genus,
         "files": entries,
     })
@@ -334,10 +322,7 @@ def cmd_sweep(config: RunConfig) -> int:
                         [_cell(r["failed"]), r["config_hash"]])
     _write_csv(out / "sweep.csv", header, csv_rows)
     _write_json(out / "sweep.json", {
-        "timestamp": _timestamp(),
-        "version": __version__,
-        "config_hash": config_hash(config),
-        "config": config.as_dict(),
+        **_envelope(config),
         "base_genus": base.genus,
         "rows": rows,
         "asserted": asserted,
@@ -362,9 +347,7 @@ def cmd_converge(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
 
-    spec = FenchelNielsenSpec(cuff_lengths=config.cuffs, twists=config.twists,
-                              segments=config.m)
-    surface, _ = build_surface(spec)
+    surface, _ = _base_pipeline(replace(config, refine=0))
     count = 5
     rows = []
     area_target = -2.0 * math.pi * surface.euler_characteristic()
@@ -404,10 +387,7 @@ def cmd_converge(config: RunConfig) -> int:
                [[_cell(r["level"]), _cell(r["dof"]), _cell(r["area"])] +
                 [_cell(v) for v in r["lambda"]] + [r["config_hash"]] for r in rows])
     _write_json(out / "converge.json", {
-        "timestamp": _timestamp(),
-        "version": __version__,
-        "config_hash": chash,
-        "config": config.as_dict(),
+        **_envelope(config),
         "rows": rows,
         "ratios": ratios,
         "ratio_flags": flags,
@@ -472,10 +452,7 @@ def cmd_corollary(config: RunConfig) -> int:
                [[_cell(r.get(k)) for k in header[:-1]] + [r["config_hash"]]
                 for r in rows])
     _write_json(out / "corollary.json", {
-        "timestamp": _timestamp(),
-        "version": __version__,
-        "config_hash": chash,
-        "config": config.as_dict(),
+        **_envelope(config),
         "note": note,
         "rows": rows,
         "asserted": asserted,
@@ -519,10 +496,8 @@ def cmd_oracle_check(config: RunConfig) -> int:
     check("random_pencils_sparse_vs_dense", worst <= 1e-8,
           f"20 pencils, worst relative eigenvalue gap {worst:.3e} (tol 1e-8)")
 
-    spec = FenchelNielsenSpec(cuff_lengths=config.cuffs, twists=config.twists,
-                              segments=config.m)
-    base0, gamma0 = build_surface(spec)
-    base1, (gamma1,) = refine(base0, [gamma0])
+    base0, gamma0 = _base_pipeline(replace(config, refine=0))
+    base1, _ = refine(base0)
     cover0 = cyclic_cover(base0, gamma0, n=config.n, N=1)
     worst = 0.0
     meshes = [("base_level0", base0), ("base_level1", base1),
@@ -549,6 +524,17 @@ def cmd_oracle_check(config: RunConfig) -> int:
     check("euler_characteristic_multiplicative", chi_ok,
           f"chi(cover)={cover0.surface.euler_characteristic()} "
           f"= {cover0.degree} * {base0.euler_characteristic()}")
+
+    # Collars of width collar_width(l) around disjoint simple closed
+    # geodesics are disjoint, and edge paths overestimate distance.
+    lifts = cover0.lifts
+    lift_dist = lift_distances(cover0)
+    clearance = min(float(lift_dist[i, list(lifts[j].vertices)].min())
+                    for i, j in itertools.combinations(range(len(lifts)), 2))
+    width = collar_width(gamma0.length)
+    check("collar_theorem_clearance", clearance >= 2.0 * width,
+          f"edge-path clearance between lifts {clearance:.6g}, "
+          f"2 * collar width {2.0 * width:.6g}")
 
     cut_pencil = assemble(cover0.cut, mass=config.mass)
     full = assemble(cover0.surface, mass=config.mass)
@@ -589,10 +575,7 @@ def cmd_oracle_check(config: RunConfig) -> int:
           f"h*N constant to {max(h_products) - min(h_products):.3e}")
 
     _write_json(out / "oracle_check.json", {
-        "timestamp": _timestamp(),
-        "version": __version__,
-        "config_hash": config_hash(config),
-        "config": config.as_dict(),
+        **_envelope(config),
         "checks": checks,
     })
     return 0 if all(c["passed"] for c in checks) else 1

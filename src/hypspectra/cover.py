@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .surface import CutSurface, MeshCurve, MeshError, TriangulatedSurface, cut_along
 
@@ -108,15 +107,15 @@ def cyclic_cover(surface: TriangulatedSurface, curve: MeshCurve, n: int, N: int)
     inv_of[uniq] = np.arange(len(uniq))
     inv_of = inv_of[lab].reshape(d, Vc)
 
-    # Lift i runs along copy (i*N % d)'s left boundary circle.
+    # Lift i runs along copy (i*N % d)'s left boundary circle.  Cutting
+    # the cover along one seam leaves the d copies as a chain, so no lift
+    # separates.
     def lift_curve(i: int) -> MeshCurve:
         k = (i * N) % d
         verts = [int(inv_of[k, w]) for w in cut.left_vertices]
         edges = [(int(k * Fc + f), int(s)) for f, s in cut.left_edges]
         length = float(sum(cover_surface.lengths[f, s] for f, s in edges))
-        adj = cover_surface.face_adjacency(exclude_sides=edges)
-        ncomp = csgraph.connected_components(adj, directed=False, return_labels=False)
-        return MeshCurve(tuple(verts), tuple(edges), length, separating=bool(ncomp == 2))
+        return MeshCurve(tuple(verts), tuple(edges), length, separating=False)
 
     lifts = [lift_curve(i) for i in range(1, n + 2)]
     for lift in lifts:

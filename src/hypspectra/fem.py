@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from . import hypgeom
 from .surface import CutSurface, MeshCurve, TriangulatedSurface
@@ -62,7 +61,8 @@ def refine(surface: TriangulatedSurface, curves=()):
     Child 4f is the central midline triangle of face f; child 4f+1+k
     keeps parent corner k.  Each curve in `curves` is carried along by
     replacing every edge with its two halves, and the refined curves
-    are returned in the same order.
+    are returned in the same order.  Subdivision does not change the
+    topology, so each keeps its `separating` flag.
     """
     F = surface.num_faces
     V = surface.num_vertices
@@ -116,10 +116,8 @@ def refine(surface: TriangulatedSurface, curves=()):
             verts.append(curve.vertices[j])
             verts.append(int(mid[f, s]))
         length = float(sum(refined.lengths[f, s] for f, s in edges))
-        adj = refined.face_adjacency(exclude_sides=edges)
-        ncomp = csgraph.connected_components(adj, directed=False, return_labels=False)
         out_curves.append(MeshCurve(tuple(verts), tuple(edges), length,
-                                    separating=bool(ncomp == 2)))
+                                    separating=curve.separating))
     return refined, out_curves
 
 

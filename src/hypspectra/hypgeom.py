@@ -24,13 +24,9 @@ DEGENERACY_RTOL = 1e-12
 __all__ = [
     "GeometryError",
     "HyperboloidPoint",
-    "TriangleLengths",
     "acosh1p",
-    "angle_from_lengths",
-    "area_from_lengths",
     "corner_angles",
     "coshm1",
-    "point_to_geodesic",
     "project_tangent",
     "geodesic_direction",
     "geodesic_midpoint",
@@ -144,31 +140,6 @@ def coshm1(x):
     return 2.0 * np.sinh(0.5 * np.asarray(x, dtype=float)) ** 2
 
 
-def point_to_geodesic(p, a, b):
-    """Perpendicular data from point p to the geodesic through a and b.
-
-    Returns (h, t): h is the distance from p to its foot on the
-    geodesic, t the signed arc length from a to the foot, positive
-    toward b.  The foot may fall outside the segment ab.
-    """
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w = np.cross(a, b)
-    w[..., 1] *= -1.0
-    w[..., 2] *= -1.0
-    norm2 = -minkowski_dot(w, w)
-    if np.any(norm2 <= 0):
-        raise GeometryError("geodesic pole is degenerate (coincident endpoints?)")
-    w = w / np.sqrt(norm2)[..., None]
-    s = minkowski_dot(p, w)
-    foot = normalize_point(p + s[..., None] * w)
-    h = np.arcsinh(np.abs(s))
-    u = geodesic_direction(a, b)
-    t = np.arcsinh(-minkowski_dot(foot, u))
-    return h, t
-
-
 @dataclass(frozen=True)
 class HyperboloidPoint:
     """A point on the upper hyperboloid sheet, validated on construction."""
@@ -231,24 +202,6 @@ def validate_triangle_lengths(a, b, c):
         )
 
 
-@dataclass(frozen=True)
-class TriangleLengths:
-    """Side lengths of a hyperbolic triangle; a is opposite corner 0, etc."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        validate_triangle_lengths(self.a, self.b, self.c)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
-
-
-_SIDE_INDEX = {"a": 0, "b": 1, "c": 2, 0: 0, 1: 1, 2: 2}
-
-
 def _angles_raw(a, b, c):
     """Angle opposite side a, from the half-angle form (no validation).
 
@@ -259,22 +212,6 @@ def _angles_raw(a, b, c):
     num = np.sinh(s - b) * np.sinh(s - c)
     den = np.sinh(s) * np.sinh(s - a)
     return 2.0 * np.arctan(np.sqrt(num / den))
-
-
-def angle_from_lengths(t: TriangleLengths, opposite) -> float:
-    """Interior angle at the corner opposite the selected side.
-
-    `opposite` selects the side by index 0/1/2 or letter "a"/"b"/"c";
-    the returned angle satisfies
-    cos(alpha) = (cosh b cosh c - cosh a) / (sinh b sinh c)
-    when "a" is selected, and likewise for the cyclic permutations.
-    """
-    try:
-        k = _SIDE_INDEX[opposite]
-    except KeyError:
-        raise GeometryError(f"side selector must be 0/1/2 or a/b/c, got {opposite!r}") from None
-    sides = t.as_array()
-    return float(_angles_raw(sides[k], sides[(k + 1) % 3], sides[(k + 2) % 3]))
 
 
 def corner_angles(lengths) -> np.ndarray:
@@ -312,11 +249,6 @@ def triangle_areas(lengths) -> np.ndarray:
     if np.any(area <= 0) or not np.all(np.isfinite(area)):
         raise GeometryError("triangle with non-positive defect rejected as degenerate")
     return area
-
-
-def area_from_lengths(t: TriangleLengths) -> float:
-    """Area of one triangle; equals the angle defect pi - alpha - beta - gamma."""
-    return float(triangle_areas(t.as_array()))
 
 
 def hexagon_seam_length(l1: float, l2: float, l3: float) -> float:

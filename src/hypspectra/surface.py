@@ -46,10 +46,8 @@ __all__ = [
     "build_surface",
     "curve_from_vertex_cycle",
     "cut_along",
-    "euler_characteristic",
     "read_hypmesh",
     "surfaces_combinatorially_equal",
-    "total_area",
     "write_hypmesh",
 ]
 
@@ -534,14 +532,6 @@ def build_surface(spec: FenchelNielsenSpec):
     return surface, gamma
 
 
-def euler_characteristic(surface: TriangulatedSurface) -> int:
-    return surface.euler_characteristic()
-
-
-def total_area(surface: TriangulatedSurface) -> float:
-    return surface.total_area()
-
-
 # -- cutting ------------------------------------------------------------------
 
 
@@ -739,8 +729,9 @@ def read_hypmesh(path):
 
     Returns (surface, curves, cover_info); cover_info is None for plain
     surfaces, else a dict with keys degree, deck_face, pieces, lifts
-    (lift curve edge lists).  Malformed input raises MeshError with the
-    offending line number.
+    (lift curve edge lists).  The PIECE blocks of a cover must partition
+    the faces.  Malformed input raises MeshError with the offending line
+    number.
     """
     rd = _LineReader(path)
     no, ln = rd.next("header")
@@ -858,6 +849,8 @@ def read_hypmesh(path):
             if cover_info is None:
                 raise MeshError(f"line {no}: PIECE block before DECK")
             idx, cnt = header(no, parts, "PIECE <index> <count>")
+            if idx in cover_info["pieces"]:
+                raise MeshError(f"line {no}: piece {idx} is listed twice")
             cover_info["pieces"][idx] = read_face_ids(cnt, "piece member")
         elif parts[0] == "LIFT":
             if cover_info is None:
@@ -867,4 +860,11 @@ def read_hypmesh(path):
             cover_info["lifts"].append(lift)
         else:
             raise MeshError(f"line {no}: unrecognized block {parts[0]!r}")
+    if cover_info is not None:
+        members = [np.empty(0, dtype=np.int64), *cover_info["pieces"].values()]
+        listed = np.bincount(np.concatenate(members), minlength=nf)
+        if np.any(listed > 1):
+            raise MeshError(f"face {np.argmax(listed > 1)} is in more than one PIECE")
+        if np.any(listed == 0):
+            raise MeshError(f"face {np.argmin(listed)} is in no PIECE")
     return surface, curves, cover_info

@@ -10,12 +10,14 @@ from scipy.sparse import csr_matrix
 import hypspectra.bound as bound_module
 from hypspectra.bound import (RAMP_CAP, BoundError, CollarData,
                               bound_report, build_test_functions, collar_data,
-                              collar_width, compute_h_general, cross_gram,
+                              collar_width, cross_gram,
                               distance_to_curves, half_collar_areas,
                               lift_distances, minimax_certificate, rayleigh,
                               vertex_pieces)
+from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import solve_smallest
 from hypspectra.fem import SparsePencil, assemble
+from hypspectra.surface import FenchelNielsenSpec, build_surface
 from oracles import FROZEN, H_BOUND, close
 
 CHAIN_KEYS = {
@@ -86,32 +88,31 @@ def test_vertex_pieces_partition(small_cover):
 # -- collar data -----------------------------------------------------------------
 
 def test_collar_data_measures_clearances(small_cover):
-    dist = lift_distances(small_cover)
-    collar = collar_data(small_cover, dist)
-    l = small_cover.lifts[0].length
-    assert close(collar.lemma_width, collar_width(l))
+    # eta is the collar-lemma width; the collar theorem makes the lifts at
+    # least 2 * eta apart, which the edge-path clearance must confirm.
+    for cuffs in [(2.0, 2.0, 2.0), (0.5, 2.0, 2.0), (4.0, 1.0, 1.0)]:
+        surface, gamma = build_surface(FenchelNielsenSpec(cuff_lengths=cuffs))
+        for N in (1, 2):
+            cover = cyclic_cover(surface, gamma, n=2, N=N)
+            collar = collar_data(cover, lift_distances(cover))
+            assert collar.eta == collar_width(gamma.length)
+            assert collar.t_requested == min(collar.eta / 2.0, RAMP_CAP)
+            D = all_pairs_distances(cover.surface)
+            verts = [sorted(c.vertices) for c in cover.lifts]
+            for i in range(len(verts)):
+                for j in range(i):
+                    assert D[np.ix_(verts[i], verts[j])].min() >= 2.0 * collar.eta
 
-    D = all_pairs_distances(small_cover.surface)
-    verts = [sorted(c.vertices) for c in small_cover.lifts]
-    for i, lift_verts in enumerate(verts):
-        others = sorted({v for j, vs in enumerate(verts) if j != i for v in vs})
-        clearance = D[np.ix_(lift_verts, others)].min()
-        assert abs(collar.lift_clearances[i] - clearance) <= 1e-12
-
-    eta = min([collar.lemma_width] + [c / 2.0 for c in collar.lift_clearances])
-    assert collar.eta == eta
-    assert collar.t == min(eta / 2.0, RAMP_CAP)
+    collar = collar_data(small_cover, lift_distances(small_cover))
     assert collar.t == collar.t_requested
     assert not collar.t_shrunk
 
 
 def test_collar_data_rejects_inconsistent_width():
     with pytest.raises(BoundError):
-        CollarData(eta=0.3, lemma_width=0.3, lift_clearances=(1.0,),
-                   t=0.35, t_requested=0.35, t_shrunk=False)
+        CollarData(eta=0.3, t=0.35, t_requested=0.35, t_shrunk=False)
     with pytest.raises(BoundError):
-        CollarData(eta=0.3, lemma_width=0.3, lift_clearances=(1.0,),
-                   t=0.0, t_requested=0.15, t_shrunk=True)
+        CollarData(eta=0.3, t=0.0, t_requested=0.15, t_shrunk=True)
 
 
 # -- test functions ----------------------------------------------------------------
@@ -188,33 +189,6 @@ def test_rayleigh_scales_inversely_with_mass(c, seed):
     q1 = rayleigh(SparsePencil(stiffness=K, mass=B), f)
     q2 = rayleigh(SparsePencil(stiffness=K, mass=csr_matrix(c * B.toarray())), f)
     assert abs(q2 - q1 / c) <= 1e-12 * max(1.0, abs(q1 / c))
-
-
-# -- interface-to-area ratio -------------------------------------------------------
-
-def test_interface_ratio_on_cover_pieces(small_cover):
-    surf = small_cover.surface
-    piece_a = np.flatnonzero(small_cover.piece == 1)
-    piece_b = np.flatnonzero(small_cover.piece != 1)
-    # piece 1 is bounded by the first and last designated lifts
-    interface = [small_cover.lifts[0], small_cover.lifts[2]]
-    h = compute_h_general(surf, piece_a, piece_b, interface)
-    total_len = small_cover.lifts[0].length + small_cover.lifts[2].length
-    assert abs(h - total_len / (4.0 * math.pi)) <= 1e-8
-
-
-def test_interface_ratio_rejections(small_cover):
-    surf = small_cover.surface
-    piece_a = np.flatnonzero(small_cover.piece == 1)
-    piece_b = np.flatnonzero(small_cover.piece != 1)
-    interface = [small_cover.lifts[0], small_cover.lifts[2]]
-    with pytest.raises(BoundError):
-        compute_h_general(surf, np.array([], dtype=int),
-                          np.arange(surf.num_faces), interface)
-    with pytest.raises(BoundError):
-        compute_h_general(surf, piece_a, piece_b[:-1], interface)
-    with pytest.raises(BoundError):
-        compute_h_general(surf, piece_a, piece_b, [])
 
 
 # -- half-collar areas --------------------------------------------------------------
@@ -296,8 +270,9 @@ def test_report_round_trips_through_json(sweep_rows):
     assert restored["certificate_holds"] is True
     assert restored["collar"]["t_shrunk"] is False
     assert set(restored["chain_checks"]) == CHAIN_KEYS
-    assert len(restored["collar"]["lift_clearances"]) == 3
-    assert all(isinstance(c, float) for c in restored["collar"]["lift_clearances"])
+    assert set(restored["collar"]) == {"eta", "t", "t_requested", "t_shrunk"}
+    assert "lemma_width" not in restored["collar"]
+    assert "lift_clearances" not in restored["collar"]
 
 
 # -- per-lift distance fields ------------------------------------------------------

@@ -10,6 +10,7 @@ from hypspectra.cli import (ConfigError, RunConfig, build_parser, config_hash,
 from hypspectra.eigen import EigensolverError
 
 TINY = ["--refine", "0", "--n", "1", "--N", "1,2"]
+ENVELOPE = ["timestamp", "version", "config_hash", "config"]
 
 
 def read_csv(path):
@@ -84,6 +85,19 @@ def test_config_file_then_flags(tmp_path):
     assert config.refine == 2            # untouched default
 
 
+def test_every_flag_overrides_the_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 3\nN = 5\nrefine = 4\ntol = 1e-5\nout = a\nseed = 5\n"
+                    "mass = lumped\ntestfn = one-sided\n")
+    args = build_parser().parse_args([
+        "sweep", "--config", str(path), "--n", "1", "--N", "2, 3", "--refine", "0",
+        "--tol", "1e-7", "--out", "b", "--seed", "7", "--mass", "consistent",
+        "--testfn", "two-sided"])
+    config = load_config(args)
+    assert config == RunConfig(n=1, N=(2, 3), refine=0, tol=1e-7, out="b", seed=7,
+                               mass="consistent", testfn="two-sided")
+
+
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("frobs = 3\n")
@@ -117,6 +131,7 @@ def test_build_writes_verifiable_manifest(tmp_path):
     out = tmp_path / "run"
     assert main(["build", "--out", str(out)] + TINY) == 0
     manifest = json.loads((out / "build.json").read_text())
+    assert list(manifest)[:4] == ENVELOPE
     assert manifest["base_genus"] == 2
     assert [e["file"] for e in manifest["files"]] == [
         "base.hypmesh", "cover_n1_N1.hypmesh", "cover_n1_N2.hypmesh"]
@@ -158,6 +173,7 @@ def test_sweep_outputs(sweep_dir):
         assert repr(float(r[header.index("bound")])) == r[header.index("bound")]
 
     doc = json.loads((sweep_dir / "sweep.json").read_text())
+    assert list(doc)[:4] == ENVELOPE
     assert doc["config_hash"] == expected_hash
     assert all(doc["asserted"].values())
     assert [row["N"] for row in doc["rows"]] == [1, 2]
@@ -229,6 +245,7 @@ def test_corollary_from_sweep(sweep_dir):
     ratios = [float(r[header.index("ratio")]) for r in rows]
     assert ratios[1] < ratios[0]
     doc = json.loads((sweep_dir / "corollary.json").read_text())
+    assert list(doc)[:4] == ENVELOPE
     assert all(doc["asserted"].values())
     assert "genus" in doc["note"]
 
@@ -260,6 +277,7 @@ def test_converge_outputs(tmp_path):
     dofs = [int(r[1]) for r in rows]
     assert dofs[1] > dofs[0] and dofs[2] > dofs[1]
     doc = json.loads((out / "converge.json").read_text())
+    assert list(doc)[:4] == ENVELOPE
     assert all(doc["asserted"].values())
     assert set(doc["ratios"]) == {"1", "2", "3", "4"}
     assert len(doc["ratio_flags"]) == 4      # one interior triple per k
@@ -271,12 +289,14 @@ def test_oracle_check_all_pass(tmp_path):
     out = tmp_path / "run"
     assert main(["oracle-check", "--out", str(out)] + TINY) == 0
     doc = json.loads((out / "oracle_check.json").read_text())
+    assert list(doc)[:4] == ENVELOPE
     names = [c["name"] for c in doc["checks"]]
     assert names == ["random_pencils_sparse_vs_dense",
                      "pipeline_meshes_sparse_vs_dense",
                      "cone_angles_flat",
                      "area_matches_curvature_total",
                      "euler_characteristic_multiplicative",
+                     "collar_theorem_clearance",
                      "floquet_vs_dense_cover",
                      "deck_relabeling_preserves_pencil_bits",
                      "h_scales_inversely_with_N"]

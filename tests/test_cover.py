@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from hypspectra.cover import CoverError, cyclic_cover, verify_deck_symmetry
 from hypspectra.surface import (FenchelNielsenSpec, build_surface,
@@ -49,6 +50,15 @@ def test_lift_lengths_bitwise_equal(base_r0, small_cover):
     for lift in small_cover.lifts:
         assert lift.length == gamma.length          # identical float sums
         assert len(lift.edges) == len(gamma.edges)
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (2, 1), (2, 3), (7, 2)])
+def test_no_lift_separates_the_cover(base_r0, n, N):
+    surface, gamma = base_r0
+    cover = cyclic_cover(surface, gamma, n=n, N=N)
+    for lift in cover.lifts:
+        adj = cover.surface.face_adjacency(exclude_sides=lift.edges)
+        assert csgraph.connected_components(adj, directed=False)[0] == 1
         assert not lift.separating
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from hypspectra.cover import cyclic_cover
 from hypspectra.fem import assemble, element_mass, element_stiffness, glue_copies, refine
 from hypspectra.hypgeom import GeometryError, triangle_areas
+from hypspectra.surface import curve_from_vertex_cycle
 
 side = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)
 
@@ -37,6 +39,19 @@ def test_refine_carries_curve_exactly(base_r0):
     assert not rgamma.separating
     # original curve vertices survive with the same ids
     assert set(gamma.vertices) <= set(rgamma.vertices)
+
+
+def test_refine_keeps_curve_topology(base_r0):
+    # gamma is non-separating; the boundary of face 0 separates
+    surface, gamma = base_r0
+    triangle = curve_from_vertex_cycle(surface, surface.faces[0].tolist())
+    refined, curves = refine(surface, [gamma, triangle])
+    for before, after in zip([gamma, triangle], curves):
+        assert after.separating == before.separating
+        adj = refined.face_adjacency(exclude_sides=after.edges)
+        ncomp = csgraph.connected_components(adj, directed=False)[0]
+        assert ncomp == (2 if before.separating else 1)
+    assert curves[1].separating
 
 
 def test_refine_twice_composes(base_levels):

@@ -297,6 +297,41 @@ def test_hypmesh_rejects_deck_that_is_not_a_permutation(tmp_path, small_cover):
         read_hypmesh(bad)
 
 
+def _piece_header(lines, idx):
+    return next(i for i, ln in enumerate(lines) if ln.startswith(f"PIECE {idx} "))
+
+
+def _pieces_with_face_twice(lines):
+    lines[_piece_header(lines, 2) + 1] = lines[_piece_header(lines, 1) + 1]
+
+
+def _pieces_missing_a_face(lines):
+    at = _piece_header(lines, 3)
+    count = int(lines[at].split()[2])
+    lines[at] = f"PIECE 3 {count - 1}"
+    del lines[at + count]
+
+
+def _pieces_with_repeated_index(lines):
+    at = _piece_header(lines, 3)
+    lines[at] = lines[at].replace("PIECE 3", "PIECE 2")
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (_pieces_with_face_twice, "is in more than one PIECE"),
+    (_pieces_missing_a_face, "is in no PIECE"),
+    (_pieces_with_repeated_index, "piece 2 is listed twice"),
+])
+def test_hypmesh_rejects_pieces_that_do_not_partition(tmp_path, small_cover, mangle,
+                                                     message):
+    lines = _cover_lines(tmp_path, small_cover)
+    mangle(lines)
+    bad = tmp_path / "bad.hypmesh"
+    _write_lines(bad, lines)
+    with pytest.raises(MeshError, match=message):
+        read_hypmesh(bad)
+
+
 # -- graph helpers --------------------------------------------------------------
 
 def test_vertex_graph_is_symmetric_positive(base_r0):
