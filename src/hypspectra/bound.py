@@ -10,12 +10,6 @@ disjoint simple closed geodesics, so their collars of that width are
 disjoint (Buser, Geometry and Spectra of Compact Riemann Surfaces,
 Thm 4.1.1); `oracle-check` measures the edge-path clearance between
 lifts against it.
-
-The report evaluates the inequality chain behind the bound step by
-step on the actual numbers and records which steps hold; one step
-(replacing sinh t by t in a numerator) is false for every positive t,
-so the aggregate flag documents the chain as written rather than the
-weaker bound it still implies.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ __all__ = [
     "collar_width",
     "cross_gram",
     "distance_to_curves",
-    "half_collar_areas",
     "lift_distances",
     "minimax_certificate",
     "rayleigh",
@@ -189,54 +182,28 @@ def cross_gram(pencil, fs):
     return fs @ (pencil.stiffness @ fs.T), fs @ (pencil.mass @ fs.T)
 
 
-def minimax_certificate(pencil, fs, faces=None) -> float:
-    """max_i rayleigh(f_i), valid as an upper bound for lambda_k.
+def minimax_certificate(pencil, fs, faces: np.ndarray) -> tuple[float, list]:
+    """(max_i rayleigh(f_i), [rayleigh(f_i)]); the maximum bounds lambda_k.
 
-    The support-disjointness hypothesis is verified before anything is
-    computed: no triangle may carry nonzero values of two different
-    functions.  With that, cross terms in both K and B vanish exactly
-    and the span of the f_i is full-dimensional, so the largest
+    The support-disjointness hypothesis is verified on `faces` before
+    anything is computed: no triangle may carry nonzero values of two
+    different functions.  With that, cross terms in both K and B vanish
+    exactly and the span of the f_i is full-dimensional, so the largest
     blockwise quotient dominates the k-th eigenvalue.
     """
     fs = np.asarray(fs, dtype=float)
-    if faces is not None:
-        bad = _support_overlap(faces, fs)
-        if bad is not None:
-            i, j, face = bad
-            raise BoundError(
-                f"functions {i} and {j} both take nonzero values on triangle {face}")
-    return max(rayleigh(pencil, f) for f in fs)
-
-
-def half_collar_areas(cover: CoverSurface, t: float, lift_dist: np.ndarray):
-    """Measured area of {dist <= t} around each lift, split by side.
-
-    A triangle counts when all three of its vertices lie within edge
-    path distance t of the lift; that region sits inside the true
-    t-neighborhood (edge paths overestimate distance and the
-    neighborhood is convex within the embedded collar), so each side's
-    area is at most l(gamma) sinh(t).  `lift_dist` is
-    `lift_distances(cover)`.
-    """
-    surf = cover.surface
-    areas = surf.triangle_areas()
-    k = cover.n + 1
-    out = []
-    for i, (lift, dist) in enumerate(zip(cover.lifts, lift_dist), start=1):
-        inside = (dist[surf.faces] <= t).all(axis=1)
-        side_prev = i             # lift i bounds piece i ...
-        side_next = i % k + 1     # ... and piece i+1 (cyclically)
-        entry = {"lift": i, "reference": lift.length * math.sinh(t), "sides": {}}
-        for piece in (side_prev, side_next):
-            sel = inside & (cover.piece == piece)
-            entry["sides"][piece] = float(areas[sel].sum())
-        out.append(entry)
-    return out
+    bad = _support_overlap(faces, fs)
+    if bad is not None:
+        i, j, face = bad
+        raise BoundError(
+            f"functions {i} and {j} both take nonzero values on triangle {face}")
+    quotients = [rayleigh(pencil, f) for f in fs]
+    return max(quotients), quotients
 
 
 @dataclass
 class BoundReport:
-    """Everything the final inequality needs, plus per-step chain flags."""
+    """The closed-form bound and the minimax certificate for one cover."""
 
     n: int
     N: int
@@ -248,18 +215,13 @@ class BoundReport:
     t: float
     c_eta: float
     bound: float
-    bound_conservative: float
     rayleigh_quotients: list
     certificate: float
     lambda_n: float
     scale: float
     testfn_variant: str
     bound_holds: bool
-    bound_holds_conservative: bool
     certificate_holds: bool
-    chain_checks: dict
-    chain_assumptions_hold: bool
-    half_collar: list
     collar: CollarData = field(repr=False)
 
     def as_dict(self) -> dict:
@@ -290,31 +252,10 @@ def bound_report(cover: CoverSurface, pencil, spectrum,
     bound = c_eta * (h + h * h)
 
     fs = build_test_functions(cover, collar, lift_dist, variant=variant)
-    quotients = [rayleigh(pencil, f) for f in fs]
-    certificate = minimax_certificate(pencil, fs, faces=cover.surface.faces)
+    certificate, quotients = minimax_certificate(pencil, fs, cover.surface.faces)
     lam = float(spectrum.values[n])
     scale = pencil.stiffness.diagonal().sum() / pencil.dof
     slack = SOLVER_SLACK * scale
-
-    collars = half_collar_areas(cover, t, lift_dist)
-    areas = cover.surface.triangle_areas()
-    piece_areas = [float(areas[cover.piece == i].sum()) for i in range(1, n + 2)]
-    boundary_dist = lift_dist.min(axis=0)
-    vp = vertex_pieces(cover)
-    plateau = all(np.any((vp == i) & (boundary_dist >= t)) for i in range(1, n + 2))
-
-    sinh_t = math.sinh(t)
-    checks = {
-        "collar_area_bound": all(a <= entry["reference"] * (1 + 1e-12)
-                                 for entry in collars for a in entry["sides"].values()),
-        "plateau_nonempty": plateau,
-        "piece_smallness": all(l * sinh_t < a for a in piece_areas),
-        "drop_factor_ok": h <= n + 1,
-        "sinh_lt_one": sinh_t < 1.0,
-        "ramp_vs_eta": t >= eta / 2.0 - 1e-15,
-        "one_minus_sinh_bound": 1.0 / (1.0 - sinh_t) <= 1.0 + h if sinh_t < 1 else False,
-        "ramp_linearization": sinh_t <= t,
-    }
 
     return BoundReport(
         n=n,
@@ -327,17 +268,12 @@ def bound_report(cover: CoverSurface, pencil, spectrum,
         t=t,
         c_eta=c_eta,
         bound=bound,
-        bound_conservative=2.0 * bound,
-        rayleigh_quotients=[float(q) for q in quotients],
-        certificate=float(certificate),
+        rayleigh_quotients=quotients,
+        certificate=certificate,
         lambda_n=lam,
         scale=float(scale),
         testfn_variant=variant,
         bound_holds=bool(lam <= bound + slack),
-        bound_holds_conservative=bool(lam <= 2.0 * bound + slack),
         certificate_holds=bool(lam <= certificate + slack),
-        chain_checks=checks,
-        chain_assumptions_hold=all(checks.values()),
-        half_collar=collars,
         collar=collar,
     )

@@ -716,9 +716,6 @@ class _LineReader:
         self.pos += 1
         return no, ln
 
-    def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else (None, None)
-
     @property
     def exhausted(self):
         return self.pos >= len(self.lines)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from hypspectra.bound import (build_test_functions, collar_data, cross_gram,
-                              half_collar_areas, lift_distances)
+                              lift_distances)
 from hypspectra.cli import _random_pencil
 from hypspectra.eigen import dense_oracle, solve_smallest
 from hypspectra.fem import assemble
@@ -134,27 +134,6 @@ def test_criterion_6_refinement_ratios(base_spectra):
     print(f"[criterion 6] PASS  successive-difference ratios for lambda_1..lambda_4 "
           f"over 4 levels in [{min(ratios):.3f}, {max(ratios):.3f}], "
           f"within [2.5, 6.0] (nominal 4)")
-
-
-def test_criterion_7_collar_area_calibration(sweep_rows, cover_r3):
-    worst_r2 = 0.0
-    for N, row in sorted(sweep_rows.items()):
-        for entry in row["report"].half_collar:
-            for area in entry["sides"].values():
-                ratio = area / entry["reference"]
-                assert ratio <= 1.10
-                worst_r2 = max(worst_r2, ratio)
-    dist = lift_distances(cover_r3)
-    collar = collar_data(cover_r3, dist)
-    worst_r3 = 0.0
-    for entry in half_collar_areas(cover_r3, collar.t, dist):
-        for area in entry["sides"].values():
-            ratio = area / entry["reference"]
-            assert ratio <= 1.05
-            worst_r3 = max(worst_r3, ratio)
-    print(f"[criterion 7] PASS  half-collar area / (l sinh t) per lift side: "
-          f"max {worst_r2:.4f} at refinement 2 (<= 1.10), "
-          f"max {worst_r3:.4f} at refinement 3 (<= 1.05)")
 
 
 def test_criterion_8_fixed_witness_collapse(sweep_rows):

@@ -1,12 +1,13 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from hypspectra.cli import (ConfigError, RunConfig, build_parser, config_hash,
-                            load_config, main, parse_config_file)
+from hypspectra.cli import (CSV_DOC, ConfigError, RunConfig, build_parser,
+                            config_hash, load_config, main, parse_config_file)
 from hypspectra.eigen import EigensolverError
 
 TINY = ["--refine", "0", "--n", "1", "--N", "1,2"]
@@ -23,10 +24,34 @@ def strip_timestamp(text):
     return "\n".join(line for line in text.splitlines() if '"timestamp"' not in line)
 
 
+def documented_columns(n):
+    """Column list per CSV file as CSV_DOC states it, lambda ranges expanded for n."""
+    table = CSV_DOC.split("\n\n")[0]
+    parts = re.split(r"\s+(\w+\.csv):\s+", table)[1:]
+    docs = {}
+    for name, cols in zip(parts[::2], parts[1::2]):
+        docs[name] = []
+        for col in re.sub(r"\s+", "", cols).split(","):
+            m = re.fullmatch(r"lambda_0\.\.lambda_\{?(n\+1|\d+)\}?", col)
+            if m is None:
+                docs[name].append(col)
+            else:
+                top = n + 1 if m[1] == "n+1" else int(m[1])
+                docs[name] += [f"lambda_{k}" for k in range(top + 1)]
+    return docs
+
+
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweeprun")
     assert main(["sweep", "--out", str(out)] + TINY) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def converge_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("convergerun")
+    assert main(["converge", "--out", str(out), "--refine", "2"]) == 0
     return out
 
 
@@ -161,8 +186,7 @@ def test_sweep_outputs(sweep_dir):
     header, rows = read_csv(sweep_dir / "sweep.csv")
     assert header == ["N", "d", "dof", "lambda_0", "lambda_1", "lambda_2",
                       "h", "eta", "t", "bound", "certificate", "bound_holds",
-                      "certificate_holds", "chain_assumptions_hold", "failed",
-                      "config_hash"]
+                      "certificate_holds", "failed", "config_hash"]
     assert [r[0] for r in rows] == ["1", "2"]
     expected_hash = config_hash(RunConfig(refine=0, n=1, N=(1, 2)))
     for r in rows:
@@ -267,16 +291,14 @@ def test_converge_needs_three_levels(tmp_path):
     assert main(["converge", "--out", str(tmp_path), "--refine", "1"]) == 2
 
 
-def test_converge_outputs(tmp_path):
-    out = tmp_path / "run"
-    assert main(["converge", "--out", str(out), "--refine", "2"]) == 0
-    header, rows = read_csv(out / "converge.csv")
+def test_converge_outputs(converge_dir):
+    header, rows = read_csv(converge_dir / "converge.csv")
     assert header == ["level", "dof", "area", "lambda_0", "lambda_1", "lambda_2",
                       "lambda_3", "lambda_4", "config_hash"]
     assert [r[0] for r in rows] == ["0", "1", "2"]
     dofs = [int(r[1]) for r in rows]
     assert dofs[1] > dofs[0] and dofs[2] > dofs[1]
-    doc = json.loads((out / "converge.json").read_text())
+    doc = json.loads((converge_dir / "converge.json").read_text())
     assert list(doc)[:4] == ENVELOPE
     assert all(doc["asserted"].values())
     assert set(doc["ratios"]) == {"1", "2", "3", "4"}
@@ -298,6 +320,18 @@ def test_oracle_check_all_pass(tmp_path):
                      "euler_characteristic_multiplicative",
                      "collar_theorem_clearance",
                      "floquet_vs_dense_cover",
-                     "deck_relabeling_preserves_pencil_bits",
-                     "h_scales_inversely_with_N"]
+                     "deck_relabeling_preserves_pencil_bits"]
     assert all(c["passed"] for c in doc["checks"])
+
+
+# -- documentation ---------------------------------------------------------------------
+
+def test_csv_headers_match_csv_doc(sweep_dir, converge_dir):
+    assert main(["corollary", "--out", str(sweep_dir)] + TINY) == 0
+    docs = documented_columns(n=1)
+    written = {"sweep.csv": sweep_dir, "converge.csv": converge_dir,
+               "corollary.csv": sweep_dir}
+    assert set(docs) == set(written)
+    for name, directory in written.items():
+        header, _ = read_csv(directory / name)
+        assert header == docs[name], name
