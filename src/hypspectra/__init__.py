@@ -6,24 +6,23 @@ from .bound import (BoundError, BoundReport, CollarData, bound_report,
                     build_test_functions, collar_data, collar_width,
                     lift_distances, minimax_certificate, rayleigh)
 from .cover import CoverError, CoverSurface, cyclic_cover, verify_deck_symmetry
-from .eigen import (CharacterSpectrum, EigensolverError, SpectrumResult, dense_oracle,
-                    residuals, solve_characters, solve_smallest)
-from .fem import (SparsePencil, assemble, element_mass, element_stiffness, glue_copies,
-                  refine)
+from .eigen import (CharacterSolver, CharacterSpectrum, EigensolverError, SpectrumResult,
+                    dense_oracle, residuals, solve_smallest)
+from .fem import SparsePencil, assemble, element_mass, element_stiffness, refine
 from .surface import (CurveError, FenchelNielsenSpec, MeshCurve, MeshError,
                       TriangulatedSurface, build_surface, curve_from_vertex_cycle,
                       cut_along, read_hypmesh, write_hypmesh)
 
 __all__ = [
-    "BoundError", "BoundReport", "CharacterSpectrum", "CollarData", "CoverError",
-    "CoverSurface",
+    "BoundError", "BoundReport", "CharacterSolver", "CharacterSpectrum", "CollarData",
+    "CoverError", "CoverSurface",
     "CurveError", "EigensolverError", "FenchelNielsenSpec", "MeshCurve",
     "MeshError", "SparsePencil", "SpectrumResult", "TriangulatedSurface",
     "__version__", "assemble", "bound_report", "build_surface",
     "build_test_functions", "collar_data", "collar_width",
     "curve_from_vertex_cycle", "cut_along", "cyclic_cover", "dense_oracle",
-    "element_mass", "element_stiffness", "glue_copies", "lift_distances",
+    "element_mass", "element_stiffness", "lift_distances",
     "minimax_certificate", "rayleigh",
-    "read_hypmesh", "refine", "residuals", "solve_characters", "solve_smallest",
+    "read_hypmesh", "refine", "residuals", "solve_smallest",
     "verify_deck_symmetry", "write_hypmesh",
 ]

@@ -157,8 +157,8 @@ def build_test_functions(cover: CoverSurface, collar: CollarData, lift_dist: np.
 
 
 def _support_overlap(faces: np.ndarray, fs: np.ndarray):
-    """First (i, j, face) whose triangle supports two functions, or None."""
-    active = np.stack([(np.abs(f[faces]) > 0).any(axis=1) for f in fs])
+    """First (i, j, face) whose triangle supports two functions (copy-major), or None."""
+    active = np.stack([(np.abs(f[..., faces]) > 0).any(axis=-1).reshape(-1) for f in fs])
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             both = active[i] & active[j]
@@ -168,12 +168,17 @@ def _support_overlap(faces: np.ndarray, fs: np.ndarray):
 
 
 def rayleigh(pencil, f) -> float:
-    """Discrete Rayleigh quotient (f^T K f) / (f^T B f)."""
+    """Discrete Rayleigh quotient (f^T K f) / (f^T B f).
+
+    f is a vector over the pencil's vertices, or a stack of them whose
+    forms add up: a function on a cover glued from copies of the surface
+    the pencil lives on, one row per copy (f[cover.copy_vertex]).
+    """
     f = np.asarray(f, dtype=float)
-    denom = float(f @ (pencil.mass @ f))
+    denom = float(np.vdot(f, (pencil.mass @ f.T).T))
     if denom <= 0:
         raise BoundError("test function has zero mass norm")
-    return float(f @ (pencil.stiffness @ f)) / denom
+    return float(np.vdot(f, (pencil.stiffness @ f.T).T)) / denom
 
 
 def cross_gram(pencil, fs):
@@ -185,11 +190,13 @@ def cross_gram(pencil, fs):
 def minimax_certificate(pencil, fs, faces: np.ndarray) -> tuple[float, list]:
     """(max_i rayleigh(f_i), [rayleigh(f_i)]); the maximum bounds lambda_k.
 
-    The support-disjointness hypothesis is verified on `faces` before
-    anything is computed: no triangle may carry nonzero values of two
-    different functions.  With that, cross terms in both K and B vanish
-    exactly and the span of the f_i is full-dimensional, so the largest
-    blockwise quotient dominates the k-th eigenvalue.
+    fs[i] is function i in either form `rayleigh` takes, and `faces` are
+    the triangles of the pencil's surface.  The support-disjointness
+    hypothesis is verified before anything is computed: no triangle (of
+    any copy) may carry nonzero values of two different functions.  With
+    that, cross terms in both K and B vanish exactly and the span of the
+    f_i is full-dimensional, so the largest blockwise quotient dominates
+    the k-th eigenvalue.
     """
     fs = np.asarray(fs, dtype=float)
     bad = _support_overlap(faces, fs)
@@ -237,7 +244,12 @@ class BoundReport:
 
 def bound_report(cover: CoverSurface, pencil, spectrum,
                  variant: str = "two-sided") -> BoundReport:
-    """Assemble the full certification report for one cover."""
+    """Assemble the full certification report for one cover.
+
+    `pencil` is assembled on `cover.cut`, and the ramps are taken copy by
+    copy on it.  Each cut vertex lands on one cover vertex, so trace(K)
+    over the base vertex count is the cover's trace(K)/dof.
+    """
     n = cover.n
     if len(spectrum.values) < n + 1:
         raise BoundError(f"need at least {n + 1} eigenvalues, got {len(spectrum.values)}")
@@ -252,9 +264,10 @@ def bound_report(cover: CoverSurface, pencil, spectrum,
     bound = c_eta * (h + h * h)
 
     fs = build_test_functions(cover, collar, lift_dist, variant=variant)
-    certificate, quotients = minimax_certificate(pencil, fs, cover.surface.faces)
+    certificate, quotients = minimax_certificate(pencil, fs[:, cover.copy_vertex],
+                                                 cover.cut.faces)
     lam = float(spectrum.values[n])
-    scale = pencil.stiffness.diagonal().sum() / pencil.dof
+    scale = pencil.stiffness.diagonal().sum() / cover.base.num_vertices
     slack = SOLVER_SLACK * scale
 
     return BoundReport(

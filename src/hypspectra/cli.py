@@ -37,9 +37,9 @@ from scipy.sparse import csr_matrix
 from . import __version__
 from .bound import BoundError, bound_report, collar_width, lift_distances
 from .cover import cyclic_cover
-from .eigen import EigensolverError, dense_oracle, solve_characters, solve_smallest
-from .fem import SparsePencil, assemble, glue_copies, refine
-from .surface import FenchelNielsenSpec, MeshError, build_surface, write_hypmesh
+from .eigen import CharacterSolver, EigensolverError, dense_oracle, solve_smallest
+from .fem import SparsePencil, assemble, refine
+from .surface import FenchelNielsenSpec, MeshError, build_surface, cut_along, write_hypmesh
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "load_config", "main"]
 
@@ -218,32 +218,32 @@ def _base_pipeline(config: RunConfig):
     return surface, gamma
 
 
-def _cover_spectrum(cover, cut_pencil, config: RunConfig):
-    """The n+2 smallest eigenvalues of the cover, one character at a time."""
-    return solve_characters(cut_pencil, cover.cut.base_vertex, cover.cut.right_vertices,
-                            cover.degree, count=config.n + 2, tol=config.tol,
-                            seed=config.seed)
+def _character_solver(cut, config: RunConfig):
+    """The pencil of the cut surface, and its solver for the n+2 smallest eigenvalues."""
+    pencil = assemble(cut, mass=config.mass)
+    return pencil, CharacterSolver(pencil, cut.base_vertex, cut.right_vertices,
+                                   count=config.n + 2, tol=config.tol, seed=config.seed)
 
 
 def _sweep_rows(config: RunConfig):
     """One row per cover degree; solver failures are recorded, not fatal.
 
-    The pencil is assembled once per row, on the cut surface.  The
-    eigenvalues come from its character pencils, and the cover pencil
-    the certificate needs is glued from copies of it.
+    The pencil is assembled once per sweep, on the base cut open along
+    gamma.  The eigenvalues come from its character pencils, each phase
+    solved once per sweep, and the certificate takes its quotients copy
+    by copy on it.
     """
     base, gamma = _base_pipeline(config)
+    cut_pencil, solver = _character_solver(cut_along(base, gamma), config)
     chash = config_hash(config)
     rows = []
     for N in sorted(set(config.N)):
         cover = cyclic_cover(base, gamma, n=config.n, N=N)
-        cut_pencil = assemble(cover.cut, mass=config.mass)
-        pencil = glue_copies(cut_pencil, cover.copy_vertex)
-        row = {"N": N, "d": cover.degree, "dof": pencil.dof, "failed": False,
-               "config_hash": chash}
+        row = {"N": N, "d": cover.degree, "dof": cover.surface.num_vertices,
+               "failed": False, "config_hash": chash}
         try:
-            spectrum = _cover_spectrum(cover, cut_pencil, config)
-            report = bound_report(cover, pencil, spectrum, variant=config.testfn)
+            spectrum = solver.spectrum(cover.degree)
+            report = bound_report(cover, cut_pencil, spectrum, variant=config.testfn)
         except (EigensolverError, BoundError) as e:
             row["failed"] = True
             row["error"] = str(e)
@@ -535,9 +535,9 @@ def cmd_oracle_check(config: RunConfig) -> int:
           f"edge-path clearance between lifts {clearance:.6g}, "
           f"2 * collar width {2.0 * width:.6g}")
 
-    cut_pencil = assemble(cover0.cut, mass=config.mass)
     full = assemble(cover0.surface, mass=config.mass)
-    floquet = _cover_spectrum(cover0, cut_pencil, config)
+    _, solver = _character_solver(cover0.cut, config)
+    floquet = solver.spectrum(cover0.degree)
     dense = dense_oracle(full, count=config.n + 2).values
     # lambda_0 is the kernel: measured against trace(K)/dof, the rest relative.
     scale = full.stiffness.diagonal().sum() / full.dof
@@ -546,23 +546,17 @@ def cmd_oracle_check(config: RunConfig) -> int:
           f"{floquet.solved} character pencils against the dense {full.dof}-dof "
           f"cover pencil, worst relative eigenvalue gap {gap:.3e} (tol 1e-10)")
 
-    pencil = glue_copies(cut_pencil, cover0.copy_vertex)
+    # assemble returns canonical CSR, so K itself is the sorted reference.
     perm = cover0.deck_vertex
-    K = pencil.stiffness.tocsr()
-    B = pencil.mass.tocsr()
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
     equiv = True
-    for mat in (K, B):
-        moved = mat[inv][:, inv].tocsr()
+    for mat in (full.stiffness, full.mass):
+        moved = mat[perm][:, perm]
         moved.sort_indices()
-        ref = mat.copy()
-        ref.sort_indices()
-        equiv &= (np.array_equal(moved.indptr, ref.indptr)
-                  and np.array_equal(moved.indices, ref.indices)
-                  and moved.data.tobytes() == ref.data.tobytes())
+        equiv &= (np.array_equal(moved.indptr, mat.indptr)
+                  and np.array_equal(moved.indices, mat.indices)
+                  and moved.data.tobytes() == mat.data.tobytes())
     check("deck_relabeling_preserves_pencil_bits", equiv,
-          "glued cover pencil: P^T K P == K and P^T B P == B bitwise"
+          "assembled cover pencil: P^T K P == K and P^T B P == B bitwise"
           if equiv else "bit mismatch")
 
     _write_json(out / "oracle_check.json", {

@@ -7,13 +7,14 @@ B^{-1/2} K B^{-1/2}, eigendecompose that) and serves as a cross-check
 on small problems.  The two share no factorization or iteration code,
 so agreement between them is meaningful evidence.
 
-`solve_characters` gives the low spectrum of a degree-d cyclic cover
-without forming the cover (Floquet-Bloch theory; Sunada, Ann. Math.
-1985).  The deck group splits the cover's functions by the characters
+`CharacterSolver` gives the low spectra of cyclic covers without
+forming them (Floquet-Bloch theory; Sunada, Ann. Math. 1985).  The deck
+group of a degree-d cover splits its functions by the characters
 w = exp(2 pi i k / d), and the functions of character k are determined
-by their values on one copy of the cut surface, with phase w across
-the seam.  So character k is a Hermitian pencil over the base
-vertices, built from the cut surface's pencil.  Characters k and d-k
+by their values on one copy of the cut surface, with phase w across the
+seam.  So character k is a Hermitian pencil over the base vertices,
+built from the cut surface's pencil, and fixed by the phase k/d: covers
+of any degree share it, and it is solved once.  Characters k and d-k
 are complex conjugates with equal spectra, so each such pair is solved
 once and its eigenvalues are counted twice: the double eigenvalues the
 deck symmetry forces come out as exact pairs.
@@ -21,6 +22,7 @@ deck symmetry forces come out as exact pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +31,12 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
 __all__ = [
+    "CharacterSolver",
     "CharacterSpectrum",
     "EigensolverError",
     "SpectrumResult",
     "dense_oracle",
     "residuals",
-    "solve_characters",
     "solve_smallest",
 ]
 
@@ -74,8 +76,8 @@ class CharacterSpectrum:
 
     values is ascending, and residuals[i] is the backward error of
     values[i]'s eigenpair on its character pencil.  solved counts the
-    character pencils solved, iterations the operator applies over all
-    of them.
+    phases this spectrum solved, iterations the operator applies spent
+    on them; phases an earlier degree solved add to neither.
     """
 
     values: np.ndarray
@@ -229,54 +231,70 @@ def _phase_parts(pencil, base_vertex: np.ndarray, seam) -> tuple:
             parts(slice(K.nnz, None), B.data))
 
 
-def solve_characters(pencil, base_vertex, seam, degree: int, count: int,
-                     tol: float = 1e-9, seed: int = 0) -> CharacterSpectrum:
-    """The `count` smallest eigenvalues of a degree-`degree` cyclic cover.
+class CharacterSolver:
+    """The smallest eigenvalues of the cyclic covers of one cut surface.
 
-    `pencil` is assembled on the base cut open along the cover's curve:
+    `pencil` is assembled on the base cut open along the covers' curve:
     base_vertex[j] is the base vertex of cut vertex j, and `seam` lists
     the cut vertices of the boundary circle that copy m glues to the
-    other circle of copy m+1.  A function of character w = exp(2 pi i
-    k / d) on the cover takes w^m phi(base_vertex[j]) at cut vertex j
-    of copy m, and w^(m+1) phi on the seam.  The pencil of phi is
-    (P^H K P, P^H B P), where P maps cut vertex j to base vertex
-    base_vertex[j] with phase w on the seam.  Each k in 0..d//2 is
-    solved by shift-invert with CHARACTER_BASIS; a k with 0 < k < d/2
-    stands for k and d-k and contributes each of its eigenvalues twice,
-    so it is asked for ceil(count/2) of them.
+    other circle of copy m+1.  A function of character w on a cover
+    takes w^m phi(base_vertex[j]) at cut vertex j of copy m, and
+    w^(m+1) phi on the seam, so the pencil of phi is (P^H K P, P^H B P),
+    where P maps cut vertex j to base vertex base_vertex[j] with phase w
+    on the seam.  `spectrum(d)` solves each phase k/d, k in 0..d//2, the
+    first time any degree asks for it, in lowest terms p/q with
+    w = exp(2 pi i p / q), and keeps only its eigenvalues and residuals,
+    so a degree's spectrum has the same bits whichever degrees came
+    before.  Each phase is solved by shift-invert with CHARACTER_BASIS;
+    one with 0 < p/q < 1/2 stands for k and d-k, so it is asked for
+    ceil(count/2) eigenvalues and lists each twice.
     """
-    base_vertex = np.asarray(base_vertex, dtype=np.int64)
-    if degree < 1:
-        raise EigensolverError("cover degree must be at least 1")
-    V = int(base_vertex.max()) + 1
-    if count < 1:
-        raise EigensolverError("count must be at least 1")
-    if count > degree * V:
-        raise EigensolverError(
-            f"asked for {count} eigenvalues of a {degree * V}-dof cover")
-    indptr, indices, kparts, bparts = _phase_parts(pencil, base_vertex, seam)
 
-    values, res = [], []
-    applies = 0
-    for k in range(degree // 2 + 1):
-        paired = 0 < 2 * k < degree
-        if paired:
-            w = np.exp(2j * np.pi * k / degree)
-        else:
-            w = 1.0 if k == 0 else -1.0
+    def __init__(self, pencil, base_vertex, seam, count: int, tol: float, seed: int):
+        if count < 1:
+            raise EigensolverError("count must be at least 1")
+        base_vertex = np.asarray(base_vertex, dtype=np.int64)
+        self.dof = int(base_vertex.max()) + 1
+        self.count, self.tol, self.seed = count, tol, seed
+        self._parts = _phase_parts(pencil, base_vertex, seam)
+        self._phases = {}
 
-        K, B = (sparse.csr_matrix((p[0] + w * p[1] + np.conj(w) * p[2], indices, indptr),
-                                  shape=(V, V)) for p in (kparts, bparts))
-        want = min(-(-count // 2) if paired else count, V)
-        try:
-            result = _shift_invert(K, B, want, CHARACTER_BASIS, tol, seed, None)
-        except EigensolverError as e:
-            raise EigensolverError(f"character k={k} of degree {degree}: {e}") from e
-        applies += result.iterations
+    def spectrum(self, degree: int) -> CharacterSpectrum:
+        """The `count` smallest eigenvalues of the degree-`degree` cover."""
+        if degree < 1:
+            raise EigensolverError("cover degree must be at least 1")
+        if self.count > degree * self.dof:
+            raise EigensolverError(
+                f"asked for {self.count} eigenvalues of a {degree * self.dof}-dof cover")
+        parts = []
+        solved = applies = 0
+        for k in range(degree // 2 + 1):
+            g = math.gcd(k, degree)
+            phase = k // g, degree // g
+            if phase not in self._phases:
+                try:
+                    values, res, spent = self._solve(phase)
+                except EigensolverError as e:
+                    raise EigensolverError(f"character k={k} of degree {degree}: {e}") from e
+                self._phases[phase] = values, res
+                solved, applies = solved + 1, applies + spent
+            parts.append(self._phases[phase])
+        values, res = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(values, kind="stable")[:self.count]
+        return CharacterSpectrum(values=values[order], residuals=res[order],
+                                 solved=solved, iterations=applies)
+
+    def _solve(self, phase: tuple):
+        """(values, residuals, operator applies) of phase p/q, per character."""
+        p, q = phase
+        paired = q > 2
+        w = np.exp(2j * np.pi * p / q) if paired else (-1.0) ** p
+        indptr, indices, kparts, bparts = self._parts
+        V = self.dof
+        K, B = (sparse.csr_matrix((c[0] + w * c[1] + np.conj(w) * c[2], indices, indptr),
+                                  shape=(V, V)) for c in (kparts, bparts))
+        want = min(-(-self.count // 2) if paired else self.count, V)
+        result = _shift_invert(K, B, want, CHARACTER_BASIS, self.tol, self.seed, None)
         copies = 2 if paired else 1
-        values.append(np.repeat(result.values, copies))
-        res.append(np.repeat(result.residuals, copies))
-    values = np.concatenate(values)
-    order = np.argsort(values, kind="stable")[:count]
-    return CharacterSpectrum(values=values[order], residuals=np.concatenate(res)[order],
-                             solved=degree // 2 + 1, iterations=applies)
+        return (np.repeat(result.values, copies), np.repeat(result.residuals, copies),
+                result.iterations)

@@ -15,13 +15,10 @@ relabeling of faces: permuting the mesh by a symmetry permutes the
 matrices exactly, with bitwise-equal entries.
 
 `assemble` reads only faces, lengths and the vertex count, so it also
-assembles a surface cut open along a curve.  `glue_copies` turns that
-cut pencil into the pencil of a cyclic cover without assembling the
-cover: it scatters one copy of the cut pencil per sheet and adds the
-entries that meet on a seam.  With two or more sheets each such entry
-is a sum of two terms, which floating point adds to the same bits in
-either order, so the glued pencil is bitwise invariant under the deck
-transformation too.
+assembles a surface cut open along a curve.  That pencil also gives the
+quadratic forms of a cover glued from copies of the cut surface: every
+cover triangle is a triangle of one copy, so f^T K f on the cover is the
+sum over the copies of the cut pencil's form (`bound.rayleigh`).
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ __all__ = [
     "assemble",
     "element_mass",
     "element_stiffness",
-    "glue_copies",
     "refine",
 ]
 
@@ -220,24 +216,3 @@ def assemble(surface: TriangulatedSurface | CutSurface,
         B = _canonical_csr(rows, cols, em.reshape(-1), n)
     return SparsePencil(stiffness=K, mass=B)
 
-
-def glue_copies(pencil: SparsePencil, copy_vertex: np.ndarray) -> SparsePencil:
-    """Pencil of a surface glued from copies of the surface `pencil` lives on.
-
-    copy_vertex[k, j] is the glued vertex of vertex j in copy k.  Every
-    copy's entries are scattered through that map, and entries landing
-    on one position are added.  With two or more copies of a cut
-    surface, no copy uses a glued vertex twice and a glued vertex lies
-    in at most two copies, so a position gets at most two terms and the
-    sum does not depend on the order of the copies.
-    """
-    n = int(copy_vertex.max()) + 1
-
-    def glue(mat):
-        coo = mat.tocoo()
-        rows = copy_vertex[:, coo.row].reshape(-1)
-        cols = copy_vertex[:, coo.col].reshape(-1)
-        vals = np.tile(coo.data, len(copy_vertex))
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    return SparsePencil(stiffness=glue(pencil.stiffness), mass=glue(pencil.mass))

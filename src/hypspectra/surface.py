@@ -21,7 +21,7 @@ angle from each side, and hexagon corners contribute four right angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse

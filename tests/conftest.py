@@ -57,7 +57,7 @@ def sweep_rows(base_levels):
             "cover": cover,
             "pencil": pencil,
             "spectrum": spectrum,
-            "report": bound_report(cover, pencil, spectrum),
+            "report": bound_report(cover, assemble(cover.cut), spectrum),
         }
     return rows
 

@@ -165,6 +165,22 @@ def test_certificate_rejects_overlapping_supports(small_cover):
         minimax_certificate(pencil, fs, small_cover.surface.faces)
 
 
+def test_copy_support_check_names_the_cover_triangle(small_cover):
+    # Both functions are 1 around one vertex of copy 2; stacked by copy,
+    # the triangles are counted copy-major, as the cover lays them out.
+    cover = small_cover
+    fs = np.zeros((2, cover.surface.num_vertices))
+    fs[:, cover.surface.faces[2 * len(cover.cut.faces) + 5, 0]] = 1.0
+    messages = []
+    for pencil, stacked, faces in ((assemble(cover.surface), fs, cover.surface.faces),
+                                   (assemble(cover.cut), fs[:, cover.copy_vertex],
+                                    cover.cut.faces)):
+        with pytest.raises(BoundError, match=r"triangle \d+") as err:
+            minimax_certificate(pencil, stacked, faces)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_rayleigh_rejects_zero_function(small_cover):
     pencil = assemble(small_cover.surface)
     with pytest.raises(BoundError):
@@ -204,10 +220,10 @@ def test_report_internal_identities(sweep_rows):
 
 
 def test_report_certifies_small_cover_both_variants(small_cover):
-    pencil = assemble(small_cover.surface)
-    spectrum = solve_smallest(pencil, count=4, tol=1e-9, seed=0)
+    spectrum = solve_smallest(assemble(small_cover.surface), count=4, tol=1e-9, seed=0)
     for variant in ("two-sided", "one-sided"):
-        report = bound_report(small_cover, pencil, spectrum, variant=variant)
+        report = bound_report(small_cover, assemble(small_cover.cut), spectrum,
+                              variant=variant)
         assert report.testfn_variant == variant
         assert report.certificate_holds
         assert report.lambda_n <= report.certificate + 1e-7 * report.scale
@@ -215,10 +231,9 @@ def test_report_certifies_small_cover_both_variants(small_cover):
 
 
 def test_report_needs_enough_eigenvalues(small_cover):
-    pencil = assemble(small_cover.surface)
-    spectrum = solve_smallest(pencil, count=2, tol=1e-9, seed=0)
+    spectrum = solve_smallest(assemble(small_cover.surface), count=2, tol=1e-9, seed=0)
     with pytest.raises(BoundError):
-        bound_report(small_cover, pencil, spectrum)
+        bound_report(small_cover, assemble(small_cover.cut), spectrum)
 
 
 def test_report_round_trips_through_json(sweep_rows):
@@ -248,8 +263,8 @@ def test_lift_distances_union_is_bitwise_min(small_cover, cover_r3):
 
 @pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
 def test_report_runs_one_dijkstra_per_lift(small_cover, monkeypatch, variant):
-    pencil = assemble(small_cover.surface)
-    spectrum = solve_smallest(pencil, count=4, tol=1e-9, seed=0)
+    spectrum = solve_smallest(assemble(small_cover.surface), count=4, tol=1e-9, seed=0)
+    pencil = assemble(small_cover.cut)
     real = bound_module.csgraph
     calls = []
 

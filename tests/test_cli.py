@@ -2,13 +2,12 @@ import csv
 import hashlib
 import json
 import re
-from pathlib import Path
 
 import pytest
 
 from hypspectra.cli import (CSV_DOC, ConfigError, RunConfig, build_parser,
                             config_hash, load_config, main, parse_config_file)
-from hypspectra.eigen import EigensolverError
+from hypspectra.eigen import CharacterSolver, EigensolverError
 
 TINY = ["--refine", "0", "--n", "1", "--N", "1,2"]
 ENVELOPE = ["timestamp", "version", "config_hash", "config"]
@@ -205,9 +204,10 @@ def test_sweep_outputs(sweep_dir):
     for row in doc["rows"]:
         eigen = row["eigen"]
         assert set(eigen) == {"characters", "operator_applies", "max_residual"}
-        assert eigen["characters"] == row["d"] // 2 + 1
         assert eigen["operator_applies"] > 0
         assert 0 <= eigen["max_residual"] <= 1e-12
+    # d = 2 solves the phases 0 and 1/2; d = 4 adds only 1/4.
+    assert [row["eigen"]["characters"] for row in doc["rows"]] == [2, 1]
 
 
 def test_sweep_rerun_identical_modulo_timestamp(sweep_dir):
@@ -223,7 +223,7 @@ def test_sweep_records_solver_failures(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise EigensolverError("injected failure")
 
-    monkeypatch.setattr("hypspectra.cli.solve_characters", explode)
+    monkeypatch.setattr(CharacterSolver, "spectrum", explode)
     out = tmp_path / "run"
     assert main(["sweep", "--out", str(out)] + TINY) == 1
     doc = json.loads((out / "sweep.json").read_text())
@@ -233,6 +233,52 @@ def test_sweep_records_solver_failures(tmp_path, monkeypatch):
     header, rows = read_csv(out / "sweep.csv")
     assert [r[header.index("failed")] for r in rows] == ["true", "true"]
     assert [r[header.index("lambda_0")] for r in rows] == ["", ""]
+
+
+def test_sweep_failed_phase_fails_only_its_row(tmp_path, monkeypatch):
+    # N = 1 (d = 2) needs the phases 0 and 1/2; N = 2 (d = 4) adds 1/4.
+    real = CharacterSolver._solve
+
+    def solve(self, phase):
+        if phase == (1, 4):
+            raise EigensolverError("injected failure")
+        return real(self, phase)
+
+    monkeypatch.setattr(CharacterSolver, "_solve", solve)
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out)] + TINY) == 1
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [row["failed"] for row in doc["rows"]] == [False, True]
+    assert "character k=1 of degree 4: injected failure" in doc["rows"][1]["error"]
+
+
+FAMILY = ["--refine", "1", "--n", "2"]
+
+
+@pytest.fixture(scope="module")
+def family_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("family")
+    assert main(["sweep", "--out", str(out), "--N", "1,2,4,8,16"] + FAMILY) == 0
+    return json.loads((out / "sweep.json").read_text())
+
+
+def test_sweep_row_independent_of_earlier_rows(family_doc, tmp_path):
+    out = tmp_path / "alone"
+    assert main(["sweep", "--out", str(out), "--N", "16"] + FAMILY) == 0
+    (alone,) = json.loads((out / "sweep.json").read_text())["rows"]
+    row = family_doc["rows"][-1]
+    assert row["N"] == alone["N"] == 16
+    assert row["lambda"] == alone["lambda"]          # JSON floats round-trip exactly
+    assert row["certificate"] == alone["certificate"]
+    # alone, the row solves all of its 25 phases k/48; in the family, the
+    # d = 24 row already solved the 13 with k even
+    assert alone["eigen"]["characters"] == 25
+    assert row["eigen"]["characters"] == 12
+
+
+def test_sweep_solves_each_phase_once(family_doc):
+    # d = 3, 6, ..., 48 need the phases k/48, k = 0..24, and nothing else.
+    assert sum(row["eigen"]["characters"] for row in family_doc["rows"]) == 25
 
 
 def test_sweep_pairs_deck_forced_double_eigenvalue(tmp_path):

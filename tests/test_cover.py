@@ -5,9 +5,7 @@ import pytest
 from scipy.sparse import csgraph
 
 from hypspectra.cover import CoverError, cyclic_cover, verify_deck_symmetry
-from hypspectra.surface import (FenchelNielsenSpec, build_surface,
-                                curve_from_vertex_cycle,
-                                surfaces_combinatorially_equal)
+from hypspectra.surface import curve_from_vertex_cycle, surfaces_combinatorially_equal
 
 
 def test_identity_cover_reglues_to_base(base_r0):

@@ -5,9 +5,8 @@ import pytest
 from scipy.sparse import block_diag, csr_matrix, eye
 
 from hypspectra.cover import cyclic_cover
-from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, EigensolverError,
-                              dense_oracle, residuals, solve_characters,
-                              solve_smallest)
+from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, CharacterSolver, EigensolverError,
+                              dense_oracle, residuals, solve_smallest)
 from hypspectra.fem import SparsePencil, assemble
 
 
@@ -196,11 +195,15 @@ def test_dense_oracle_rejects_huge_problems():
 
 # -- character solves for cyclic covers --------------------------------------------
 
+def character_solver(cut, pencil, count):
+    return CharacterSolver(pencil, cut.base_vertex, cut.right_vertices,
+                           count=count, tol=1e-9, seed=0)
+
+
 def cover_characters(cover, mass="consistent", count=None):
-    cut_pencil = assemble(cover.cut, mass=mass)
     count = cover.n + 2 if count is None else count
-    return solve_characters(cut_pencil, cover.cut.base_vertex, cover.cut.right_vertices,
-                            cover.degree, count=count, tol=1e-9, seed=0)
+    solver = character_solver(cover.cut, assemble(cover.cut, mass=mass), count)
+    return solver.spectrum(cover.degree)
 
 
 def assert_matches(values, reference, scale, rel=1e-10):
@@ -268,20 +271,42 @@ def test_characters_deterministic_bitwise(small_cover):
 
 
 def test_characters_reject_bad_arguments(small_cover):
-    cut_pencil = assemble(small_cover.cut)
-    args = (cut_pencil, small_cover.cut.base_vertex, small_cover.cut.right_vertices)
+    cut, cut_pencil = small_cover.cut, assemble(small_cover.cut)
     dof = small_cover.surface.num_vertices
     with pytest.raises(EigensolverError):
-        solve_characters(*args, degree=3, count=0)
+        character_solver(cut, cut_pencil, count=0)
     with pytest.raises(EigensolverError):
-        solve_characters(*args, degree=0, count=2)
+        character_solver(cut, cut_pencil, count=2).spectrum(0)
     with pytest.raises(EigensolverError):
-        solve_characters(*args, degree=3, count=dof + 1)
+        character_solver(cut, cut_pencil, count=dof + 1).spectrum(3)
 
 
 def test_character_failure_names_the_character(small_cover):
     cut_pencil = assemble(small_cover.cut)
     broken = SparsePencil(stiffness=0 * cut_pencil.stiffness, mass=0 * cut_pencil.mass)
     with pytest.raises(EigensolverError, match="character k=0 of degree 3"):
-        solve_characters(broken, small_cover.cut.base_vertex,
-                         small_cover.cut.right_vertices, degree=3, count=4)
+        character_solver(small_cover.cut, broken, count=4).spectrum(3)
+
+
+def test_each_phase_solved_once(small_cover):
+    cut = small_cover.cut
+    solver = character_solver(cut, assemble(cut), count=4)
+    # phases k/d for k <= d/2, in lowest terms: d = 6 adds 1/6 and 1/2
+    # to the 0 and 1/3 of d = 3, and d = 12 adds 1/12, 1/4 and 5/12.
+    solved = [solver.spectrum(d).solved for d in (3, 6, 12, 6, 3)]
+    assert solved == [2, 2, 3, 0, 0]
+    again = solver.spectrum(12)
+    assert again.solved == again.iterations == 0
+
+
+def test_phase_spectra_independent_of_earlier_degrees(small_cover):
+    cut = small_cover.cut
+    pencil = assemble(cut)
+    warm = character_solver(cut, pencil, count=4)
+    for d in (3, 6, 12, 24):
+        warm.spectrum(d)
+    for d in (8, 24):
+        fresh = character_solver(cut, pencil, count=4).spectrum(d)
+        cached = warm.spectrum(d)
+        assert cached.values.tobytes() == fresh.values.tobytes()
+        assert cached.residuals.tobytes() == fresh.residuals.tobytes()
