@@ -230,7 +230,8 @@ def _sweep_rows(config: RunConfig):
 
     The pencil is assembled once per sweep, on the base cut open along
     gamma.  The eigenvalues come from its character pencils, each phase
-    solved once per sweep, and the certificate takes its quotients copy
+    solved at most once per sweep and only where an eigenvalue lies below
+    the row's slicing shift, and the certificate takes its quotients copy
     by copy on it.
     """
     base, gamma = _base_pipeline(config)
@@ -252,7 +253,10 @@ def _sweep_rows(config: RunConfig):
         row["lambda"] = [float(v) for v in spectrum.values]
         row["eigen"] = {"characters": spectrum.solved,
                         "operator_applies": spectrum.iterations,
-                        "max_residual": float(spectrum.residuals.max())}
+                        "max_residual": float(spectrum.residuals.max()),
+                        "sigma": spectrum.sigma,
+                        "below_sigma": spectrum.below_sigma,
+                        "factorizations": spectrum.factorizations}
         row.update(h=report.h, eta=report.eta, t=report.t, bound=report.bound,
                    certificate=report.certificate,
                    bound_holds=report.bound_holds,
@@ -538,13 +542,19 @@ def cmd_oracle_check(config: RunConfig) -> int:
     full = assemble(cover0.surface, mass=config.mass)
     _, solver = _character_solver(cover0.cut, config)
     floquet = solver.spectrum(cover0.degree)
-    dense = dense_oracle(full, count=config.n + 2).values
+    dense_all = dense_oracle(full, count=full.dof).values
+    dense = dense_all[:config.n + 2]
     # lambda_0 is the kernel: measured against trace(K)/dof, the rest relative.
     scale = full.stiffness.diagonal().sum() / full.dof
     gap = float(np.max(np.abs(floquet.values - dense) / np.r_[scale, np.abs(dense[1:])]))
     check("floquet_vs_dense_cover", gap <= 1e-10,
           f"{floquet.solved} character pencils against the dense {full.dof}-dof "
           f"cover pencil, worst relative eigenvalue gap {gap:.3e} (tol 1e-10)")
+
+    below = int(np.count_nonzero(dense_all < floquet.sigma))
+    check("inertia_vs_dense_cover", floquet.below_sigma == below,
+          f"{floquet.below_sigma} eigenvalues below sigma={floquet.sigma:.6e} by inertia, "
+          f"{below} in the dense {full.dof}-dof cover pencil")
 
     # assemble returns canonical CSR, so K itself is the sorted reference.
     perm = cover0.deck_vertex

@@ -18,6 +18,17 @@ of any degree share it, and it is solved once.  Characters k and d-k
 are complex conjugates with equal spectra, so each such pair is solved
 once and its eigenvalues are counted twice: the double eigenvalues the
 deck symmetry forces come out as exact pairs.
+
+Only a few low phases hold the smallest eigenvalues of a cover, and
+spectrum slicing finds them (Ericsson & Ruhe, Math. Comp. 35, 1980;
+Parlett, The Symmetric Eigenvalue Problem).  By Sylvester's law of
+inertia, the eigenvalues of a pencil (K, B) below a shift sigma number
+the negative pivots of an LDL^H factorization of K - sigma B.  A degree's
+spectrum solves a few low phases, puts sigma just above the smallest
+values found, counts every phase's eigenvalues below sigma with one
+factorization, and runs Lanczos only where the count is positive.  Each
+phase's count must equal the number of its solved eigenvalues below
+sigma, so no eigenvalue below sigma is missed without the solve failing.
 """
 
 from __future__ import annotations
@@ -52,6 +63,12 @@ DENSE_ORACLE_MAX_DOF = 2000
 ROOMY_BASIS = (2, 4, 40)
 CHARACTER_BASIS = (1, 2, 10)
 
+# Relative margin of the slicing shift over the largest wanted
+# eigenvalue.  It must exceed the relative error of that computed
+# eigenvalue, which the Lanczos tolerance bounds (1e-9 by default); a
+# small one leaves the higher phases with no eigenvalue below the shift.
+SLICE_MARGIN = 1e-6
+
 
 class EigensolverError(RuntimeError):
     """The eigensolver failed to converge or was called out of range."""
@@ -76,14 +93,21 @@ class CharacterSpectrum:
 
     values is ascending, and residuals[i] is the backward error of
     values[i]'s eigenpair on its character pencil.  solved counts the
-    phases this spectrum solved, iterations the operator applies spent
-    on them; phases an earlier degree solved add to neither.
+    phases this spectrum ran Lanczos on, iterations the operator applies
+    spent on them; phases an earlier degree solved add to neither.
+    below_sigma is the number of the cover's eigenvalues below the
+    slicing shift sigma by inertia, each character pair counted twice;
+    it equals the number of solved eigenvalues below sigma.
+    factorizations counts the inertia factorizations this spectrum ran.
     """
 
     values: np.ndarray
     residuals: np.ndarray
     solved: int
     iterations: int
+    sigma: float
+    below_sigma: int
+    factorizations: int
 
 
 def residuals(K, B, values, vectors) -> np.ndarray:
@@ -201,6 +225,25 @@ def dense_oracle(pencil, count: int) -> SpectrumResult:
                           dof=n, shift=0.0, tol=0.0)
 
 
+def _count_below(K, B, sigma: float) -> int:
+    """Number of eigenvalues of the Hermitian pencil (K, B) below sigma.
+
+    B must be positive definite.  SuperLU in symmetric mode, with no
+    threshold pivoting, factors P (K - sigma B) P^T = L U with one
+    permutation P, and then U = D L^H.  By Sylvester's law of inertia the
+    negative entries of D count the eigenvalues below sigma.
+    """
+    try:
+        lu = splu((K - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as e:
+        raise EigensolverError(f"inertia factorization of K - sigma*B broke down: {e}") from e
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolverError("inertia factorization pivoted off the diagonal "
+                               "(perm_r != perm_c), so its pivots do not give the inertia")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
 def _phase_parts(pencil, base_vertex: np.ndarray, seam) -> tuple:
     """The cut pencil's entries summed onto the base pattern, by phase.
 
@@ -241,23 +284,36 @@ class CharacterSolver:
     takes w^m phi(base_vertex[j]) at cut vertex j of copy m, and
     w^(m+1) phi on the seam, so the pencil of phi is (P^H K P, P^H B P),
     where P maps cut vertex j to base vertex base_vertex[j] with phase w
-    on the seam.  `spectrum(d)` solves each phase k/d, k in 0..d//2, the
-    first time any degree asks for it, in lowest terms p/q with
-    w = exp(2 pi i p / q), and keeps only its eigenvalues and residuals,
-    so a degree's spectrum has the same bits whichever degrees came
-    before.  Each phase is solved by shift-invert with CHARACTER_BASIS;
-    one with 0 < p/q < 1/2 stands for k and d-k, so it is asked for
-    ceil(count/2) eigenvalues and lists each twice.
+    on the seam.
+
+    `spectrum(d)` slices the spectrum at a shift sigma.  It solves the
+    phases k/d, k = 0..count//2, puts sigma at SLICE_MARGIN above the
+    count-th smallest value they give, and counts each phase k/d,
+    k in 0..d//2, below sigma by inertia; Lanczos runs only on the
+    phases whose count is positive.  A phase whose count differs from
+    its solved eigenvalues below sigma fails the spectrum by name.  A
+    phase with no eigenvalue below sigma has none below any smaller
+    shift, so it keeps the largest such shift and skips its
+    factorization when a later degree asks for a smaller one.
+
+    Each phase is solved the first time any degree needs it, in lowest
+    terms p/q with w = exp(2 pi i p / q), and keeps only its eigenvalues
+    and residuals, so a degree's spectrum has the same bits whichever
+    degrees came before.  Each phase is solved by shift-invert with
+    CHARACTER_BASIS; one with 0 < p/q < 1/2 stands for k and d-k, so it
+    is asked for ceil(count/2) eigenvalues and lists each twice.
     """
 
     def __init__(self, pencil, base_vertex, seam, count: int, tol: float, seed: int):
-        if count < 1:
-            raise EigensolverError("count must be at least 1")
+        if count < 2:
+            raise EigensolverError("count must be at least 2: the slicing shift "
+                                   "must lie above the kernel")
         base_vertex = np.asarray(base_vertex, dtype=np.int64)
         self.dof = int(base_vertex.max()) + 1
         self.count, self.tol, self.seed = count, tol, seed
         self._parts = _phase_parts(pencil, base_vertex, seam)
         self._phases = {}
+        self._clear = {}
 
     def spectrum(self, degree: int) -> CharacterSpectrum:
         """The `count` smallest eigenvalues of the degree-`degree` cover."""
@@ -266,34 +322,69 @@ class CharacterSolver:
         if self.count > degree * self.dof:
             raise EigensolverError(
                 f"asked for {self.count} eigenvalues of a {degree * self.dof}-dof cover")
-        parts = []
-        solved = applies = 0
+        phases = []
         for k in range(degree // 2 + 1):
             g = math.gcd(k, degree)
-            phase = k // g, degree // g
-            if phase not in self._phases:
+            phases.append((k // g, degree // g))
+        solved = applies = factorizations = below = 0
+
+        def failure(k, why):
+            return EigensolverError(f"character k={k} of degree {degree}: {why}")
+
+        def solve(k):
+            nonlocal solved, applies
+            if phases[k] not in self._phases:
                 try:
-                    values, res, spent = self._solve(phase)
+                    values, res, spent = self._solve(phases[k])
                 except EigensolverError as e:
-                    raise EigensolverError(f"character k={k} of degree {degree}: {e}") from e
-                self._phases[phase] = values, res
+                    raise failure(k, e) from e
+                self._phases[phases[k]] = values, res
                 solved, applies = solved + 1, applies + spent
-            parts.append(self._phases[phase])
+            return self._phases[phases[k]][0]
+
+        boot = [solve(k) for k in range(min(self.count // 2, degree // 2) + 1)]
+        sigma = float(np.sort(np.concatenate(boot))[self.count - 1]) * (1 + SLICE_MARGIN)
+        for k, phase in enumerate(phases):
+            copies = 2 if phase[1] > 2 else 1
+            if self._clear.get(phase, -math.inf) >= sigma:
+                counted = 0
+            else:
+                try:
+                    counted = copies * _count_below(*self._pencil(phase), sigma)
+                except EigensolverError as e:
+                    raise failure(k, e) from e
+                factorizations += 1
+                if counted == 0:
+                    self._clear[phase] = sigma
+            if counted:
+                solve(k)
+            values = self._phases[phase][0] if phase in self._phases else np.empty(0)
+            returned = int(np.count_nonzero(values < sigma))
+            if returned != counted:
+                raise failure(k, f"inertia counts {counted} eigenvalues below "
+                                 f"sigma={sigma!r}, Lanczos returned {returned}")
+            below += counted
+        parts = [self._phases[phase] for phase in phases if phase in self._phases]
         values, res = (np.concatenate(x) for x in zip(*parts))
         order = np.argsort(values, kind="stable")[:self.count]
         return CharacterSpectrum(values=values[order], residuals=res[order],
-                                 solved=solved, iterations=applies)
+                                 solved=solved, iterations=applies, sigma=sigma,
+                                 below_sigma=below, factorizations=factorizations)
+
+    def _pencil(self, phase: tuple):
+        """(K, B) of phase p/q's character w = exp(2 pi i p / q) over the base vertices."""
+        p, q = phase
+        w = np.exp(2j * np.pi * p / q) if q > 2 else (-1.0) ** p
+        indptr, indices, kparts, bparts = self._parts
+        V = self.dof
+        return tuple(sparse.csr_matrix((c[0] + w * c[1] + np.conj(w) * c[2], indices, indptr),
+                                       shape=(V, V)) for c in (kparts, bparts))
 
     def _solve(self, phase: tuple):
         """(values, residuals, operator applies) of phase p/q, per character."""
-        p, q = phase
-        paired = q > 2
-        w = np.exp(2j * np.pi * p / q) if paired else (-1.0) ** p
-        indptr, indices, kparts, bparts = self._parts
-        V = self.dof
-        K, B = (sparse.csr_matrix((c[0] + w * c[1] + np.conj(w) * c[2], indices, indptr),
-                                  shape=(V, V)) for c in (kparts, bparts))
-        want = min(-(-self.count // 2) if paired else self.count, V)
+        paired = phase[1] > 2
+        K, B = self._pencil(phase)
+        want = min(-(-self.count // 2) if paired else self.count, self.dof)
         result = _shift_invert(K, B, want, CHARACTER_BASIS, self.tol, self.seed, None)
         copies = 2 if paired else 1
         return (np.repeat(result.values, copies), np.repeat(result.residuals, copies),

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
+from hypspectra import eigen
 from hypspectra.bound import bound_report
 from hypspectra.cover import cyclic_cover
-from hypspectra.eigen import solve_smallest
+from hypspectra.eigen import SpectrumResult, solve_smallest
 from hypspectra.fem import assemble, refine
 from hypspectra.surface import FenchelNielsenSpec, build_surface
 
@@ -67,3 +69,22 @@ def cover_r3(base_levels):
     """n=2, N=2 cover of the refinement-3 base (distance checks only)."""
     surface, gamma = base_levels[3]
     return cyclic_cover(surface, gamma, n=2, N=2)
+
+
+@pytest.fixture
+def paired_phases_miss_lowest(monkeypatch):
+    """Lanczos misses the lowest eigenvalue of every complex character pencil.
+
+    The shape of the bug that returned one copy of a double eigenvalue.
+    """
+    real = eigen._shift_invert
+
+    def shift_invert(K, B, count, *args):
+        result = real(K, B, count, *args)
+        if not np.iscomplexobj(K.data):
+            return result
+        return SpectrumResult(result.values[1:], result.vectors[:, 1:],
+                              result.residuals[1:], result.iterations, result.dof,
+                              result.shift, result.tol)
+
+    monkeypatch.setattr(eigen, "_shift_invert", shift_invert)

@@ -203,9 +203,14 @@ def test_sweep_outputs(sweep_dir):
     assert doc["rows"][0]["report"]["testfn_variant"] == "two-sided"
     for row in doc["rows"]:
         eigen = row["eigen"]
-        assert set(eigen) == {"characters", "operator_applies", "max_residual"}
+        assert set(eigen) == {"characters", "operator_applies", "max_residual",
+                              "sigma", "below_sigma", "factorizations"}
         assert eigen["operator_applies"] > 0
         assert 0 <= eigen["max_residual"] <= 1e-12
+        assert row["lambda"][-1] < eigen["sigma"] <= row["lambda"][-1] * (1 + 1e-6)
+        assert eigen["below_sigma"] >= len(row["lambda"])
+    # d = 2 counts its 2 phases, d = 4 its 3.
+    assert [row["eigen"]["factorizations"] for row in doc["rows"]] == [2, 3]
     # d = 2 solves the phases 0 and 1/2; d = 4 adds only 1/4.
     assert [row["eigen"]["characters"] for row in doc["rows"]] == [2, 1]
 
@@ -252,6 +257,17 @@ def test_sweep_failed_phase_fails_only_its_row(tmp_path, monkeypatch):
     assert "character k=1 of degree 4: injected failure" in doc["rows"][1]["error"]
 
 
+def test_sweep_missed_eigenvalue_fails_only_its_row(tmp_path, paired_phases_miss_lowest):
+    # Only d = 4 has a complex (paired) phase, 1/4, and Lanczos misses
+    # its lowest eigenvalue; the inertia count catches it.
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out)] + TINY) == 1
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [row["failed"] for row in doc["rows"]] == [False, True]
+    assert re.search(r"character k=1 of degree 4: inertia counts \d+ eigenvalues below "
+                     r"sigma=\S+, Lanczos returned \d+", doc["rows"][1]["error"])
+
+
 FAMILY = ["--refine", "1", "--n", "2"]
 
 
@@ -270,15 +286,23 @@ def test_sweep_row_independent_of_earlier_rows(family_doc, tmp_path):
     assert row["N"] == alone["N"] == 16
     assert row["lambda"] == alone["lambda"]          # JSON floats round-trip exactly
     assert row["certificate"] == alone["certificate"]
-    # alone, the row solves all of its 25 phases k/48; in the family, the
-    # d = 24 row already solved the 13 with k even
-    assert alone["eigen"]["characters"] == 25
-    assert row["eigen"]["characters"] == 12
+    # alone, the row solves its phases k/48 with k <= 2 (0, 1/48 and
+    # 1/24) and no other phase has an eigenvalue below sigma; in the
+    # family, the d = 24 row already solved 0 and 1/24.  Alone, every one
+    # of its 25 phases is counted; in the family, the 10 that had no
+    # eigenvalue below the d = 24 row's larger sigma are skipped.
+    assert alone["eigen"]["characters"] == 3
+    assert row["eigen"]["characters"] == 1
+    assert alone["eigen"]["factorizations"] == 25
+    assert row["eigen"]["factorizations"] == 15
+    assert row["eigen"]["sigma"] == alone["eigen"]["sigma"]
+    assert row["eigen"]["below_sigma"] == alone["eigen"]["below_sigma"]
 
 
 def test_sweep_solves_each_phase_once(family_doc):
-    # d = 3, 6, ..., 48 need the phases k/48, k = 0..24, and nothing else.
-    assert sum(row["eigen"]["characters"] for row in family_doc["rows"]) == 25
+    # d = 3 solves 0 and 1/3; each later row solves only its new 1/d, the
+    # one phase with an eigenvalue below sigma that no earlier row solved.
+    assert [row["eigen"]["characters"] for row in family_doc["rows"]] == [2, 1, 1, 1, 1]
 
 
 def test_sweep_pairs_deck_forced_double_eigenvalue(tmp_path):
@@ -366,6 +390,7 @@ def test_oracle_check_all_pass(tmp_path):
                      "euler_characteristic_multiplicative",
                      "collar_theorem_clearance",
                      "floquet_vs_dense_cover",
+                     "inertia_vs_dense_cover",
                      "deck_relabeling_preserves_pencil_bits"]
     assert all(c["passed"] for c in doc["checks"])
 

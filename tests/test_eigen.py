@@ -1,10 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh
 from scipy.sparse import block_diag, csr_matrix, eye
 
-from hypspectra.cover import cyclic_cover
+from hypspectra import eigen
+from hypspectra.cover import cut_along, cyclic_cover
 from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, CharacterSolver, EigensolverError,
                               dense_oracle, residuals, solve_smallest)
 from hypspectra.fem import SparsePencil, assemble
@@ -222,8 +225,9 @@ def test_characters_match_dense_cover(base_r0, n, N, mass):
     assert full.dof <= 1536
     result = cover_characters(cover, mass)
     scale = full.stiffness.diagonal().sum() / full.dof
-    assert_matches(result.values, dense_oracle(full, count=n + 2).values, scale)
-    assert result.solved == cover.degree // 2 + 1
+    dense = dense_oracle(full, count=full.dof).values
+    assert_matches(result.values, dense[:n + 2], scale)
+    assert result.below_sigma == np.count_nonzero(dense < result.sigma)
     assert result.residuals.max() <= 1e-12
 
 
@@ -274,7 +278,7 @@ def test_characters_reject_bad_arguments(small_cover):
     cut, cut_pencil = small_cover.cut, assemble(small_cover.cut)
     dof = small_cover.surface.num_vertices
     with pytest.raises(EigensolverError):
-        character_solver(cut, cut_pencil, count=0)
+        character_solver(cut, cut_pencil, count=1)
     with pytest.raises(EigensolverError):
         character_solver(cut, cut_pencil, count=2).spectrum(0)
     with pytest.raises(EigensolverError):
@@ -291,12 +295,18 @@ def test_character_failure_names_the_character(small_cover):
 def test_each_phase_solved_once(small_cover):
     cut = small_cover.cut
     solver = character_solver(cut, assemble(cut), count=4)
-    # phases k/d for k <= d/2, in lowest terms: d = 6 adds 1/6 and 1/2
-    # to the 0 and 1/3 of d = 3, and d = 12 adds 1/12, 1/4 and 5/12.
-    solved = [solver.spectrum(d).solved for d in (3, 6, 12, 6, 3)]
-    assert solved == [2, 2, 3, 0, 0]
+    # Lanczos runs on the phases k/d with k <= count//2, in lowest terms,
+    # that no earlier degree solved: 0 and 1/3 at d = 3, 1/6 at d = 6 and
+    # 1/12 at d = 12.  No other phase has an eigenvalue below sigma.  Each
+    # of the d//2 + 1 phases is factorized unless it had none below a
+    # sigma at least as large: 1/2 is skipped at d = 12, and a second
+    # visit factorizes only the phases with a positive count.
+    rows = [solver.spectrum(d) for d in (3, 6, 12, 6, 3)]
+    assert [r.solved for r in rows] == [2, 1, 1, 0, 0]
+    assert [r.factorizations for r in rows] == [2, 4, 6, 3, 2]
     again = solver.spectrum(12)
     assert again.solved == again.iterations == 0
+    assert again.factorizations == 3
 
 
 def test_phase_spectra_independent_of_earlier_degrees(small_cover):
@@ -310,3 +320,67 @@ def test_phase_spectra_independent_of_earlier_degrees(small_cover):
         cached = warm.spectrum(d)
         assert cached.values.tobytes() == fresh.values.tobytes()
         assert cached.residuals.tobytes() == fresh.residuals.tobytes()
+
+
+# -- inertia counts and the slicing certificate -----------------------------------
+
+def test_count_below_matches_dense_on_random_pencils():
+    rng = np.random.default_rng(7)
+    for size in (5, 17, 40):
+        G = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        E = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        K = G.conj().T @ G
+        B = np.eye(size) + E.conj().T @ E / size
+        values = eigvalsh(K, B)
+        # between neighbours and outside both ends, so no shift is near a root
+        shifts = np.r_[values[0] - 1.0, 0.5 * (values[1:] + values[:-1]), values[-1] + 1.0]
+        for sigma in shifts:
+            assert (eigen._count_below(csr_matrix(K), csr_matrix(B), sigma)
+                    == np.count_nonzero(values < sigma))
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+def test_count_below_matches_dense_on_character_pencils(base_r0, mass):
+    surface, gamma = base_r0
+    cut = cut_along(surface, gamma)
+    solver = character_solver(cut, assemble(cut, mass=mass), count=4)
+    for phase in [(0, 1), (1, 2), (1, 3), (1, 8)]:
+        K, B = solver._pencil(phase)
+        values = eigvalsh(K.toarray(), B.toarray())
+        lowest = values[:5]
+        if phase == (0, 1):
+            # the base's double eigenvalue and the kernel
+            assert lowest[3] - lowest[2] <= 1e-12 * lowest[3]
+            assert abs(lowest[0]) <= 1e-12 * lowest[4]
+        delta = 1e-6 * lowest[4]
+        for i, value in enumerate(lowest):
+            below = int(np.count_nonzero(values < value - delta))
+            above = int(np.count_nonzero(values < value + delta))
+            assert eigen._count_below(K, B, value - delta) == below
+            assert eigen._count_below(K, B, value + delta) == above
+            assert above - below == (2 if phase == (0, 1) and i in (2, 3) else 1)
+
+
+def test_inertia_factorization_off_the_diagonal_names_the_phase(small_cover, monkeypatch):
+    real = eigen.splu
+
+    def splu(A, **kwargs):
+        lu = real(A, **kwargs)
+        if "options" in kwargs and np.iscomplexobj(A.data):
+            return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
+        return lu
+
+    monkeypatch.setattr(eigen, "splu", splu)
+    cut = small_cover.cut
+    with pytest.raises(EigensolverError,
+                       match=r"character k=1 of degree 3: .*perm_r != perm_c"):
+        character_solver(cut, assemble(cut), count=4).spectrum(3)
+
+
+def test_missed_eigenvalue_fails_by_name(small_cover, paired_phases_miss_lowest):
+    cut = small_cover.cut
+    solver = character_solver(cut, assemble(cut), count=4)
+    with pytest.raises(EigensolverError,
+                       match=r"character k=1 of degree 3: inertia counts 4 eigenvalues "
+                             r"below sigma=\S+, Lanczos returned 2"):
+        solver.spectrum(3)
