@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .bound import (BoundError, BoundReport, CollarData, bound_report,
-                    build_test_functions, collar_data, collar_width,
-                    lift_distances, minimax_certificate, rayleigh)
+                    boundary_distances, collar_data, collar_width,
+                    minimax_certificate, piece_ramps, ramp_quotient, rayleigh)
 from .cover import CoverError, CoverSurface, cyclic_cover, verify_deck_symmetry
 from .eigen import (CharacterSolver, CharacterSpectrum, EigensolverError, SpectrumResult,
                     dense_oracle, residuals, solve_smallest)
@@ -18,11 +18,11 @@ __all__ = [
     "CoverError", "CoverSurface",
     "CurveError", "EigensolverError", "FenchelNielsenSpec", "MeshCurve",
     "MeshError", "SparsePencil", "SpectrumResult", "TriangulatedSurface",
-    "__version__", "assemble", "bound_report", "build_surface",
-    "build_test_functions", "collar_data", "collar_width",
+    "__version__", "assemble", "bound_report", "boundary_distances", "build_surface",
+    "collar_data", "collar_width",
     "curve_from_vertex_cycle", "cut_along", "cyclic_cover", "dense_oracle",
-    "element_mass", "element_stiffness", "lift_distances",
-    "minimax_certificate", "rayleigh",
+    "element_mass", "element_stiffness",
+    "minimax_certificate", "piece_ramps", "ramp_quotient", "rayleigh",
     "read_hypmesh", "refine", "residuals", "solve_smallest",
     "verify_deck_symmetry", "write_hypmesh",
 ]

@@ -1,15 +1,27 @@
-"""Collar data, cut-locus test functions, and the spectral upper bound.
+"""Collar data, ramp test functions, and the spectral upper bound.
 
 Everything here certifies inequalities about the assembled pencil, so
 conservative choices are made throughout: vertex distances are shortest
 edge paths (which overestimate geodesic distance, making the ramp
 functions admissible), the collar half-width is the collar-lemma width,
 and the support-disjointness hypothesis of the minimax principle is
-checked triangle by triangle rather than assumed.  The lifts are
-disjoint simple closed geodesics, so their collars of that width are
-disjoint (Buser, Geometry and Spectra of Compact Riemann Surfaces,
-Thm 4.1.1); `oracle-check` measures the edge-path clearance between
-lifts against it.
+checked rather than assumed.  The lifts are disjoint simple closed
+geodesics, so their collars of that width are disjoint (Buser, Geometry
+and Spectra of Compact Riemann Surfaces, Thm 4.1.1); `oracle-check`
+measures the edge-path clearance between lifts against it.
+
+No cover is built.  A piece of the cover is N copies of the base cut
+open along the curve, in a row, bounded by the left circle of its first
+copy and the right circle of its last; both are lifts.  The collar
+theorem keeps every other copy farther than the ramp width from the
+lifts, so the piece's ramp, restricted to one copy, is one of three
+vectors on the cut surface: a rise from the left circle, the constant
+1, or a fall to the right circle (at N = 1, the smaller of rise and
+fall).  Its quadratic forms are those vectors' forms on the cut pencil,
+weighted by the number of copies that carry each.  Every piece is a
+deck translate of the first, so the n+1 ramps share one quotient.
+`oracle-check` compares it with ramps built on the cover itself
+(`base_vs_cover_certificate`).
 """
 
 from __future__ import annotations
@@ -20,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph
 
-from .cover import CoverSurface
-from .surface import TriangulatedSurface
+from .hypgeom import triangle_areas
+from .surface import CutSurface, TriangulatedSurface
 
 __all__ = [
     "BoundError",
@@ -29,16 +41,15 @@ __all__ = [
     "CollarData",
     "RAMP_CAP",
     "SOLVER_SLACK",
+    "boundary_distances",
     "bound_report",
-    "build_test_functions",
     "collar_data",
     "collar_width",
-    "cross_gram",
     "distance_to_curves",
-    "lift_distances",
     "minimax_certificate",
+    "piece_ramps",
+    "ramp_quotient",
     "rayleigh",
-    "vertex_pieces",
 ]
 
 RAMP_CAP = 0.4          # keeps sinh(t) < 1 with margin
@@ -56,6 +67,11 @@ def collar_width(l: float) -> float:
     return math.asinh(1.0 / math.sinh(l / 2.0))
 
 
+def _dijkstra(graph, sources) -> np.ndarray:
+    return csgraph.dijkstra(graph, directed=False, indices=sorted(set(sources)),
+                            min_only=True)
+
+
 def distance_to_curves(surface: TriangulatedSurface, curves) -> np.ndarray:
     """Per-vertex shortest edge-path distance to the union of curve vertices.
 
@@ -65,30 +81,20 @@ def distance_to_curves(surface: TriangulatedSurface, curves) -> np.ndarray:
     curves = list(curves)
     if not curves:
         raise BoundError("need at least one source curve")
-    sources = sorted({int(v) for c in curves for v in c.vertices})
-    graph = surface.vertex_graph()
-    return csgraph.dijkstra(graph, directed=False, indices=sources, min_only=True)
+    return _dijkstra(surface.vertex_graph(), [int(v) for c in curves for v in c.vertices])
 
 
-def lift_distances(cover: CoverSurface) -> np.ndarray:
-    """(n+1, V) array whose row i-1 is the edge-path distance to lift i.
+def boundary_distances(cut: CutSurface) -> np.ndarray:
+    """(2, V) edge-path distances on the cut surface to its left and right circle.
 
-    The distance to a union of lifts is the elementwise minimum of their
-    rows, bitwise: floating-point d + w is monotone in d, so a
-    multi-source run finds exactly the minimum of the single-source runs.
+    Copy by copy, below the ramp width these are the cover's distances
+    to the lift on that circle: a path that short never crosses a copy
+    from one circle to the other, and after its last visit to the lift
+    it stays in one copy.
     """
-    return np.stack([distance_to_curves(cover.surface, [lift]) for lift in cover.lifts])
-
-
-def vertex_pieces(cover: CoverSurface) -> np.ndarray:
-    """Piece index per vertex; 0 for vertices shared between pieces (on lifts)."""
-    vp = np.zeros(cover.surface.num_vertices, dtype=np.int64)
-    vp[cover.surface.faces[:, 0]] = cover.piece
-    vp[cover.surface.faces[:, 1]] = cover.piece
-    vp[cover.surface.faces[:, 2]] = cover.piece
-    for lift in cover.lifts:
-        vp[list(lift.vertices)] = 0
-    return vp
+    graph = cut.vertex_graph()
+    return np.stack([_dijkstra(graph, circle)
+                     for circle in (cut.left_vertices, cut.right_vertices)])
 
 
 @dataclass(frozen=True)
@@ -110,50 +116,118 @@ class CollarData:
             raise BoundError(f"ramp width t={self.t!r} outside (0, min(eta, {RAMP_CAP})]")
 
 
-def collar_data(cover: CoverSurface, lift_dist: np.ndarray) -> CollarData:
-    """Collar data for the cover's designated lifts.
+def _copy_distances(cut: CutSurface, dist: np.ndarray, N: int, variant: str):
+    """A piece's ramp distances copy by copy: (vectors, copies) in copy order.
 
-    `lift_dist` is `lift_distances(cover)`; it sets how deep each piece
+    Two-sided: the distance to the piece boundary, so the left circle's
+    distance on the first copy, the right circle's on the last, and
+    infinity on copies in between, which no lift comes within the ramp
+    width of.  One-sided: the distance to the piece's own lift, the last
+    copy's right circle, with 0 on the far lift, the first copy's left
+    circle.  `dist` is `boundary_distances(cut)`.
+    """
+    left, right = dist
+    far = np.full_like(left, np.inf)
+    if variant == "two-sided":
+        runs = [(np.minimum(left, right), 1)] if N == 1 else [(left, 1), (far, N - 2), (right, 1)]
+    elif variant == "one-sided":
+        first = (right if N == 1 else far).copy()
+        first[cut.left_vertices] = 0.0
+        runs = [(first, 1)] if N == 1 else [(first, 1), (far, N - 2), (right, 1)]
+    else:
+        raise BoundError(f"unknown test-function variant {variant!r}")
+    runs = [(d, k) for d, k in runs if k]
+    return np.stack([d for d, _ in runs]), np.array([k for _, k in runs])
+
+
+def collar_data(cut: CutSurface, dist: np.ndarray, N: int) -> CollarData:
+    """Collar data for the lifts bounding a piece of N copies of `cut`.
+
+    `dist` is `boundary_distances(cut)`; it sets how deep the piece
     reaches, which can shrink the ramp width below eta/2.
     """
-    eta = collar_width(cover.lifts[0].length)
+    eta = collar_width(cut.curve_length)
     t_requested = min(eta / 2.0, RAMP_CAP)
-    t = t_requested
-    shrunk = False
-    # Every piece needs a vertex the ramp cannot reach, else f_i < 1
-    # everywhere on that piece.
-    boundary_dist = lift_dist.min(axis=0)
-    vp = vertex_pieces(cover)
-    depths = [boundary_dist[vp == i].max() if np.any(vp == i) else 0.0
-              for i in range(1, cover.n + 2)]
-    min_depth = min(depths)
-    if min_depth < t:
-        t = 0.5 * min_depth
-        shrunk = True
-        if t <= 0:
-            raise BoundError("a piece has no interior vertex; mesh too coarse for ramps")
-    return CollarData(eta=eta, t=t, t_requested=t_requested, t_shrunk=shrunk)
+    # The piece needs a vertex the ramp cannot reach, else its ramp
+    # stays below 1 everywhere.
+    depth = float(_copy_distances(cut, dist, N, "two-sided")[0].max())
+    if depth >= t_requested:
+        return CollarData(eta=eta, t=t_requested, t_requested=t_requested, t_shrunk=False)
+    if depth <= 0:
+        raise BoundError("a piece has no interior vertex; mesh too coarse for ramps")
+    return CollarData(eta=eta, t=0.5 * depth, t_requested=t_requested, t_shrunk=True)
 
 
-def build_test_functions(cover: CoverSurface, collar: CollarData, lift_dist: np.ndarray,
-                         variant: str = "two-sided") -> np.ndarray:
-    """One ramp function per piece, stacked as rows of an (n+1, dof) array.
+def piece_ramps(cut: CutSurface, collar: CollarData, dist: np.ndarray, N: int,
+                variant: str = "two-sided"):
+    """The ramp of a piece of N copies, taken copy by copy: (vectors, copies).
 
-    Two-sided (default): f_i ramps linearly over width t from the full
-    piece boundary, so it is 0 on both bounding lifts, 1 on the deep
-    interior of piece i, 0 elsewhere.  One-sided: the ramp distance is
-    measured from lift i only, which makes the function climb to 1
-    almost immediately on the far side of the piece; it is still forced
-    to 0 on every vertex shared between pieces.  In both variants
-    distinct functions never share a supporting triangle.  `lift_dist`
-    is `lift_distances(cover)`.
+    vectors[j] holds the ramp's values on the cut vertices of copies[j]
+    consecutive copies, in copy order.  Two-sided (default): the ramp
+    rises over width t from the piece boundary, so it is 0 on both
+    bounding lifts and 1 on the deep interior.  One-sided: it rises from
+    the piece's own lift only, and is forced to 0 on the far lift next
+    to its plateau.  `dist` is `boundary_distances(cut)`.
     """
-    if variant not in ("two-sided", "one-sided"):
-        raise BoundError(f"unknown test-function variant {variant!r}")
-    dist = lift_dist.min(axis=0) if variant == "two-sided" else lift_dist
-    ramp = np.clip(dist / collar.t, 0.0, 1.0)
-    own = vertex_pieces(cover)[None, :] == np.arange(1, cover.n + 2)[:, None]
-    return np.where(own, ramp, 0.0)
+    distances, copies = _copy_distances(cut, dist, N, variant)
+    return np.clip(distances / collar.t, 0.0, 1.0), copies
+
+
+def _check_supports(cut: CutSurface, vectors: np.ndarray, copies: np.ndarray) -> None:
+    """Raise unless the copies glue to a function that vanishes on the piece boundary.
+
+    Consecutive copies must agree on the circle they share, so the
+    copies' forms add up to the form of one function on the cover.  The
+    first copy's left circle and the last copy's right circle are the
+    lifts a piece shares with its neighbours; with the ramp 0 there, the
+    ramps of distinct pieces share no triangle.
+    """
+    left, right = cut.left_vertices, cut.right_vertices
+    seams = ({(j, j) for j, k in enumerate(copies) if k > 1}
+             | {(j, j + 1) for j in range(len(copies) - 1)})
+    for a, b in sorted(seams):
+        if not np.array_equal(vectors[a][right], vectors[b][left]):
+            raise BoundError(f"ramp copies {a} and {b} of a piece differ on the circle "
+                             "they share")
+    for name, values in (("first copy's left", vectors[0][left]),
+                         ("last copy's right", vectors[-1][right])):
+        if np.any(values != 0):
+            raise BoundError(f"ramp is nonzero on its piece's {name} circle, a lift "
+                             "it shares with the neighbouring piece")
+
+
+def ramp_quotient(cut: CutSurface, pencil, N: int,
+                  variant: str = "two-sided") -> tuple[CollarData, float]:
+    """(collar data, Rayleigh quotient) of each piece's ramp, N copies per piece.
+
+    `pencil` is assembled on `cut`.  Two Dijkstra runs on the cut
+    surface give the ramp; its support check runs before the quotient.
+    """
+    dist = boundary_distances(cut)
+    collar = collar_data(cut, dist, N)
+    vectors, copies = piece_ramps(cut, collar, dist, N, variant)
+    _check_supports(cut, vectors, copies)
+    return collar, rayleigh(pencil, vectors, copies)
+
+
+def rayleigh(pencil, f, copies=None) -> float:
+    """Discrete Rayleigh quotient (f^T K f) / (f^T B f).
+
+    f is a vector over the pencil's vertices, or a stack of them whose
+    forms add up: a function on a cover glued from copies of the surface
+    the pencil lives on, one row per copy (f[cover.copy_vertex]), where
+    row j stands for copies[j] copies (one each by default).
+    """
+    f = np.atleast_2d(np.asarray(f, dtype=float))
+    copies = np.ones(len(f)) if copies is None else np.asarray(copies, dtype=float)
+
+    def form(mat) -> float:
+        return float(copies @ np.einsum("ij,ji->i", f, mat @ f.T))
+
+    denom = form(pencil.mass)
+    if denom <= 0:
+        raise BoundError("test function has zero mass norm")
+    return form(pencil.stiffness) / denom
 
 
 def _support_overlap(faces: np.ndarray, fs: np.ndarray):
@@ -165,26 +239,6 @@ def _support_overlap(faces: np.ndarray, fs: np.ndarray):
             if both.any():
                 return i, j, int(np.argmax(both))
     return None
-
-
-def rayleigh(pencil, f) -> float:
-    """Discrete Rayleigh quotient (f^T K f) / (f^T B f).
-
-    f is a vector over the pencil's vertices, or a stack of them whose
-    forms add up: a function on a cover glued from copies of the surface
-    the pencil lives on, one row per copy (f[cover.copy_vertex]).
-    """
-    f = np.asarray(f, dtype=float)
-    denom = float(np.vdot(f, (pencil.mass @ f.T).T))
-    if denom <= 0:
-        raise BoundError("test function has zero mass norm")
-    return float(np.vdot(f, (pencil.stiffness @ f.T).T)) / denom
-
-
-def cross_gram(pencil, fs):
-    """(F K F^T, F B F^T) for the stacked test functions; exact arithmetic."""
-    fs = np.asarray(fs, dtype=float)
-    return fs @ (pencil.stiffness @ fs.T), fs @ (pencil.mass @ fs.T)
 
 
 def minimax_certificate(pencil, fs, faces: np.ndarray) -> tuple[float, list]:
@@ -242,38 +296,34 @@ class BoundReport:
         return d
 
 
-def bound_report(cover: CoverSurface, pencil, spectrum,
+def bound_report(cut: CutSurface, pencil, spectrum, n: int, N: int,
                  variant: str = "two-sided") -> BoundReport:
-    """Assemble the full certification report for one cover.
+    """The full certification report for the cover with n+1 pieces of N copies.
 
-    `pencil` is assembled on `cover.cut`, and the ramps are taken copy by
-    copy on it.  Each cut vertex lands on one cover vertex, so trace(K)
-    over the base vertex count is the cover's trace(K)/dof.
+    `pencil` is assembled on `cut`, the base cut open along the curve,
+    and the cover is never built (`ramp_quotient`).  Each cut vertex
+    lands on one cover vertex, so trace(K) over the base vertex count is
+    the cover's trace(K)/dof.
     """
-    n = cover.n
     if len(spectrum.values) < n + 1:
         raise BoundError(f"need at least {n + 1} eigenvalues, got {len(spectrum.values)}")
-    lift_dist = lift_distances(cover)
-    collar = collar_data(cover, lift_dist)
+    collar, quotient = ramp_quotient(cut, pencil, N, variant)
 
-    l = cover.lifts[0].length
-    base_area = cover.base.total_area()
-    h = (n + 1) * l / (cover.N * base_area)
+    l = cut.curve_length
+    base_area = float(triangle_areas(cut.lengths).sum())
+    h = (n + 1) * l / (N * base_area)
     eta, t = collar.eta, collar.t
     c_eta = 2.0 / eta
     bound = c_eta * (h + h * h)
 
-    fs = build_test_functions(cover, collar, lift_dist, variant=variant)
-    certificate, quotients = minimax_certificate(pencil, fs[:, cover.copy_vertex],
-                                                 cover.cut.faces)
     lam = float(spectrum.values[n])
-    scale = pencil.stiffness.diagonal().sum() / cover.base.num_vertices
+    scale = pencil.stiffness.diagonal().sum() / (cut.num_vertices - len(cut.right_vertices))
     slack = SOLVER_SLACK * scale
 
     return BoundReport(
         n=n,
-        N=cover.N,
-        degree=cover.degree,
+        N=N,
+        degree=(n + 1) * N,
         curve_length=l,
         base_area=base_area,
         h=h,
@@ -281,12 +331,12 @@ def bound_report(cover: CoverSurface, pencil, spectrum,
         t=t,
         c_eta=c_eta,
         bound=bound,
-        rayleigh_quotients=quotients,
-        certificate=certificate,
+        rayleigh_quotients=[quotient] * (n + 1),
+        certificate=quotient,
         lambda_n=lam,
         scale=float(scale),
         testfn_variant=variant,
         bound_holds=bool(lam <= bound + slack),
-        certificate_holds=bool(lam <= certificate + slack),
+        certificate_holds=bool(lam <= quotient + slack),
         collar=collar,
     )

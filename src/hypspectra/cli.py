@@ -2,10 +2,12 @@
 
 Subcommands:
   build        write HYPMESH files for the base surface and each cover
-  sweep        one bound report per cover degree, as CSV + JSON
+  sweep        one bound report per cover degree, as CSV + JSON, from
+               base-size pencils only: no cover is built
   converge     refinement study of the low spectrum on the base surface
   corollary    witness-length report derived from a previous sweep
-  oracle-check cross-validate the sparse eigensolver and mesh invariants
+  oracle-check cross-validate the sparse eigensolver, the mesh invariants and
+               the base-level certificate against one built on the cover
 
 Runs are deterministic for a fixed config, seed and BLAS thread count;
 the thread count can change the last digits of the eigenvalues, so pin
@@ -35,7 +37,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import __version__
-from .bound import BoundError, bound_report, collar_width, lift_distances
+from .bound import (RAMP_CAP, BoundError, CollarData, bound_report, collar_width,
+                    distance_to_curves, minimax_certificate, ramp_quotient)
 from .cover import cyclic_cover
 from .eigen import CharacterSolver, EigensolverError, dense_oracle, solve_smallest
 from .fem import SparsePencil, assemble, refine
@@ -229,22 +232,25 @@ def _sweep_rows(config: RunConfig):
     """One row per cover degree; solver failures are recorded, not fatal.
 
     The pencil is assembled once per sweep, on the base cut open along
-    gamma.  The eigenvalues come from its character pencils, each phase
-    solved at most once per sweep and only where an eigenvalue lies below
-    the row's slicing shift, and the certificate takes its quotients copy
-    by copy on it.
+    gamma, and no cover is built.  The eigenvalues come from its
+    character pencils, each phase solved at most once per sweep and only
+    where an eigenvalue lies below the row's slicing shift.  The
+    certificate takes the ramps copy by copy on it, as base-level
+    vectors.  A row's dof is the cover's vertex count, d times the base's.
     """
     base, gamma = _base_pipeline(config)
-    cut_pencil, solver = _character_solver(cut_along(base, gamma), config)
+    cut = cut_along(base, gamma)
+    cut_pencil, solver = _character_solver(cut, config)
     chash = config_hash(config)
     rows = []
     for N in sorted(set(config.N)):
-        cover = cyclic_cover(base, gamma, n=config.n, N=N)
-        row = {"N": N, "d": cover.degree, "dof": cover.surface.num_vertices,
+        d = (config.n + 1) * N
+        row = {"N": N, "d": d, "dof": d * base.num_vertices,
                "failed": False, "config_hash": chash}
         try:
-            spectrum = solver.spectrum(cover.degree)
-            report = bound_report(cover, cut_pencil, spectrum, variant=config.testfn)
+            spectrum = solver.spectrum(d)
+            report = bound_report(cut, cut_pencil, spectrum, config.n, N,
+                                  variant=config.testfn)
         except (EigensolverError, BoundError) as e:
             row["failed"] = True
             row["error"] = str(e)
@@ -468,6 +474,40 @@ def cmd_corollary(config: RunConfig) -> int:
     return 0 if all(asserted.values()) else 1
 
 
+def _lift_distances(cover) -> np.ndarray:
+    """(n+1, dof) edge-path distances over the whole cover, row i-1 to lift i.
+
+    The distance to a union of lifts is the elementwise minimum of their
+    rows, bitwise: floating-point d + w is monotone in d, so a
+    multi-source run finds exactly the minimum of the single-source runs.
+    """
+    return np.stack([distance_to_curves(cover.surface, [lift]) for lift in cover.lifts])
+
+
+def _cover_ramps(cover, lift_dist: np.ndarray, variant: str):
+    """(collar data, one ramp per piece) built on the cover itself.
+
+    The reference for the sweep's base-level ramps: `lift_dist` is
+    `_lift_distances(cover)`, a vertex belongs to the piece of its faces
+    and lift vertices to none, and the ramp width shrinks when a piece
+    is too thin for the ramp to reach 1.  Distinct ramps share no
+    triangle, which `minimax_certificate` checks.
+    """
+    piece = np.zeros(cover.surface.num_vertices, dtype=np.int64)
+    piece[cover.surface.faces] = cover.piece[:, None]
+    piece[[v for lift in cover.lifts for v in lift.vertices]] = 0
+    nearest = lift_dist.min(axis=0)
+    eta = collar_width(cover.lifts[0].length)
+    t_requested = min(eta / 2.0, RAMP_CAP)
+    depth = min(nearest[piece == i].max() for i in range(1, cover.n + 2))
+    shrunk = bool(depth < t_requested)
+    t = 0.5 * depth if shrunk else t_requested
+    ramp = np.clip((nearest if variant == "two-sided" else lift_dist) / t, 0.0, 1.0)
+    own = piece == np.arange(1, cover.n + 2)[:, None]
+    collar = CollarData(eta=eta, t=t, t_requested=t_requested, t_shrunk=shrunk)
+    return collar, np.where(own, ramp, 0.0)
+
+
 def _random_pencil(rng, size: int, singular: bool):
     rows = size - 1 if singular else size
     G = rng.standard_normal((rows, size))
@@ -531,13 +571,31 @@ def cmd_oracle_check(config: RunConfig) -> int:
     # Collars of width collar_width(l) around disjoint simple closed
     # geodesics are disjoint, and edge paths overestimate distance.
     lifts = cover0.lifts
-    lift_dist = lift_distances(cover0)
+    lift_dist = _lift_distances(cover0)
     clearance = min(float(lift_dist[i, list(lifts[j].vertices)].min())
                     for i, j in itertools.combinations(range(len(lifts)), 2))
     width = collar_width(gamma0.length)
     check("collar_theorem_clearance", clearance >= 2.0 * width,
           f"edge-path clearance between lifts {clearance:.6g}, "
           f"2 * collar width {2.0 * width:.6g}")
+
+    # Sweeps take each ramp copy by copy on the cut surface; N = 1..4
+    # covers a lone copy, rise and fall copies, and a middle copy.
+    base, gamma = _base_pipeline(config)
+    cut = cut_along(base, gamma)
+    cut_pencil = assemble(cut, mass=config.mass)
+    worst, same_collar = 0.0, True
+    for N in range(1, 5):
+        cover = cyclic_cover(base, gamma, n=config.n, N=N)
+        collar, fs = _cover_ramps(cover, _lift_distances(cover), config.testfn)
+        reference, _ = minimax_certificate(assemble(cover.surface, mass=config.mass),
+                                           fs, cover.surface.faces)
+        base_collar, quotient = ramp_quotient(cut, cut_pencil, N, config.testfn)
+        same_collar &= base_collar == collar
+        worst = max(worst, abs(quotient - reference) / reference)
+    check("base_vs_cover_certificate", same_collar and worst <= 1e-12,
+          f"N = 1..4, {config.testfn} ramps: worst relative gap {worst:.3e} (tol 1e-12), "
+          f"collar data {'equal' if same_collar else 'differ'}")
 
     full = assemble(cover0.surface, mass=config.mass)
     _, solver = _character_solver(cover0.cut, config)

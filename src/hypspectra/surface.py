@@ -223,21 +223,8 @@ class TriangulatedSurface:
         """
         if self._vertex_graph is None:
             sides = self.canonical_sides()
-            f, s = sides[:, 0], sides[:, 1]
-            u = self.faces[f, (s + 1) % 3]
-            v = self.faces[f, (s + 2) % 3]
-            w = self.lengths[f, s]
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            order = np.lexsort((hi, lo))
-            lo, hi, w = lo[order], hi[order], w[order]
-            first = np.ones(len(lo), dtype=bool)
-            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            starts = np.flatnonzero(first)
-            wmin = np.minimum.reduceat(w, starts)
-            lo, hi = lo[starts], hi[starts]
-            n = self.num_vertices
-            mat = sparse.coo_matrix((wmin, (lo, hi)), shape=(n, n))
-            self._vertex_graph = (mat + mat.T).tocsr()
+            self._vertex_graph = _length_graph(self.faces, self.lengths, sides[:, 0],
+                                               sides[:, 1], self.num_vertices)
         return self._vertex_graph
 
     def face_adjacency(self, exclude_sides=()) -> sparse.csr_matrix:
@@ -254,6 +241,23 @@ class TriangulatedSurface:
         ones = np.ones(len(f), dtype=np.int8)
         n = self.num_faces
         return sparse.coo_matrix((ones, (f, g)), shape=(n, n)).tocsr()
+
+
+def _length_graph(faces, lengths, f, s, num_vertices) -> sparse.csr_matrix:
+    """Symmetric edge-length matrix of the sides (f, s); parallel edges keep the minimum."""
+    u = faces[f, (s + 1) % 3]
+    v = faces[f, (s + 2) % 3]
+    w = lengths[f, s]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    first = np.ones(len(lo), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(first)
+    wmin = np.minimum.reduceat(w, starts)
+    lo, hi = lo[starts], hi[starts]
+    mat = sparse.coo_matrix((wmin, (lo, hi)), shape=(num_vertices, num_vertices))
+    return (mat + mat.T).tocsr()
 
 
 @dataclass(frozen=True)
@@ -542,7 +546,8 @@ class CutSurface:
     Boundary sides have glue entry (-1, -1).  Edge i of both boundary
     lists is the copy of curve edge i; left keeps the original vertex
     ids, right uses fresh ids V+j for curve vertex j.  base_vertex maps
-    every cut vertex id to the vertex of the uncut surface it came from.
+    every cut vertex id to the vertex of the uncut surface it came from,
+    and curve_length is the length of the curve cut along.
     """
 
     faces: np.ndarray
@@ -554,6 +559,16 @@ class CutSurface:
     left_vertices: list
     right_vertices: list
     base_vertex: np.ndarray
+    curve_length: float
+
+    def vertex_graph(self) -> sparse.csr_matrix:
+        """Edge-length matrix like `TriangulatedSurface.vertex_graph`, over every side.
+
+        An edge inside the surface enters from both of its sides with
+        the same length; a boundary edge from its one side.
+        """
+        f, s = np.indices(self.faces.shape).reshape(2, -1)
+        return _length_graph(self.faces, self.lengths, f, s, self.num_vertices)
 
 
 def _star_sectors(surface: TriangulatedSurface, j: int, curve: MeshCurve):
@@ -614,6 +629,7 @@ def cut_along(surface: TriangulatedSurface, curve: MeshCurve) -> CutSurface:
         left_vertices=list(curve.vertices),
         right_vertices=[V + j for j in range(c)],
         base_vertex=np.concatenate([np.arange(V), np.array(curve.vertices, dtype=np.int64)]),
+        curve_length=curve.length,
     )
     # The two boundary circles must have the expected endpoints.
     for j, (f, s) in enumerate(cut.left_edges):

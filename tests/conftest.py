@@ -6,7 +6,7 @@ from hypspectra.bound import bound_report
 from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import SpectrumResult, solve_smallest
 from hypspectra.fem import assemble, refine
-from hypspectra.surface import FenchelNielsenSpec, build_surface
+from hypspectra.surface import FenchelNielsenSpec, build_surface, cut_along
 
 DEFAULT_CUFFS = (2.0, 2.0, 2.0)
 SWEEP_N = (1, 2, 4, 8, 16)
@@ -50,6 +50,8 @@ def small_cover(base_r0):
 def sweep_rows(base_levels):
     """Full certification pipeline at refinement 2 for each cover multiplier."""
     surface, gamma = base_levels[2]
+    cut = cut_along(surface, gamma)
+    cut_pencil = assemble(cut)
     rows = {}
     for N in SWEEP_N:
         cover = cyclic_cover(surface, gamma, n=2, N=N)
@@ -59,9 +61,26 @@ def sweep_rows(base_levels):
             "cover": cover,
             "pencil": pencil,
             "spectrum": spectrum,
-            "report": bound_report(cover, assemble(cover.cut), spectrum),
+            "report": bound_report(cut, cut_pencil, spectrum, n=2, N=N),
         }
     return rows
+
+
+@pytest.fixture(scope="session")
+def on_cover():
+    """Lays a piece's copy-by-copy ramp (`piece_ramps`) out on every piece of a cover.
+
+    Piece i is the run of copies i*N .. i*N+N-1; the result has one row
+    per piece, over the cover's vertices.
+    """
+    def lay_out(cover, vectors, copies):
+        per_copy = np.repeat(vectors, copies, axis=0)
+        fs = np.zeros((cover.n + 1, cover.surface.num_vertices))
+        for i in range(cover.n + 1):
+            fs[i, cover.copy_vertex[i * cover.N:(i + 1) * cover.N]] = per_copy
+        return fs
+
+    return lay_out
 
 
 @pytest.fixture(scope="session")

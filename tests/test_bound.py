@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import hypspectra.bound as bound_module
-from hypspectra.bound import (RAMP_CAP, BoundError, CollarData,
-                              bound_report, build_test_functions, collar_data,
-                              collar_width, cross_gram,
-                              distance_to_curves, lift_distances,
-                              minimax_certificate, rayleigh,
-                              vertex_pieces)
+from hypspectra.bound import (RAMP_CAP, BoundError, CollarData, bound_report,
+                              boundary_distances, collar_data, collar_width,
+                              distance_to_curves, minimax_certificate, piece_ramps,
+                              ramp_quotient, rayleigh)
+from hypspectra.cli import _cover_ramps, _lift_distances
 from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import solve_smallest
 from hypspectra.fem import SparsePencil, assemble
-from hypspectra.surface import FenchelNielsenSpec, build_surface
+from hypspectra.surface import FenchelNielsenSpec, build_surface, cut_along
 from oracles import FROZEN, H_BOUND, close
 
 
@@ -72,11 +72,15 @@ def test_distance_rejects_no_sources(base_r0):
 
 
 def test_vertex_pieces_partition(small_cover):
-    vp = vertex_pieces(small_cover)
+    # The cover-level reference ramps: two-sided ramps are positive off
+    # the lifts, so their supports partition the vertices off the lifts.
+    _, fs = _cover_ramps(small_cover, _lift_distances(small_cover), "two-sided")
     lift_verts = sorted({v for c in small_cover.lifts for v in c.vertices})
-    assert (vp[lift_verts] == 0).all()
+    assert (fs[:, lift_verts] == 0).all()
     interior = np.setdiff1d(np.arange(small_cover.surface.num_vertices), lift_verts)
-    assert set(np.unique(vp[interior])) == {1, 2, 3}
+    owners = fs[:, interior] > 0
+    assert (owners.sum(axis=0) == 1).all()
+    assert owners.any(axis=1).all()
 
 
 # -- collar data -----------------------------------------------------------------
@@ -86,9 +90,10 @@ def test_collar_data_measures_clearances(small_cover):
     # least 2 * eta apart, which the edge-path clearance must confirm.
     for cuffs in [(2.0, 2.0, 2.0), (0.5, 2.0, 2.0), (4.0, 1.0, 1.0)]:
         surface, gamma = build_surface(FenchelNielsenSpec(cuff_lengths=cuffs))
+        cut = cut_along(surface, gamma)
         for N in (1, 2):
             cover = cyclic_cover(surface, gamma, n=2, N=N)
-            collar = collar_data(cover, lift_distances(cover))
+            collar = collar_data(cut, boundary_distances(cut), N)
             assert collar.eta == collar_width(gamma.length)
             assert collar.t_requested == min(collar.eta / 2.0, RAMP_CAP)
             D = all_pairs_distances(cover.surface)
@@ -97,7 +102,7 @@ def test_collar_data_measures_clearances(small_cover):
                 for j in range(i):
                     assert D[np.ix_(verts[i], verts[j])].min() >= 2.0 * collar.eta
 
-    collar = collar_data(small_cover, lift_distances(small_cover))
+    collar = collar_data(small_cover.cut, boundary_distances(small_cover.cut), 1)
     assert collar.t == collar.t_requested
     assert not collar.t_shrunk
 
@@ -113,45 +118,111 @@ def test_collar_data_rejects_inconsistent_width():
 
 @pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
 def test_ramp_functions_properties(small_cover, variant):
-    dist = lift_distances(small_cover)
-    collar = collar_data(small_cover, dist)
-    fs = build_test_functions(small_cover, collar, dist, variant=variant)
-    vp = vertex_pieces(small_cover)
-    assert fs.shape == (3, small_cover.surface.num_vertices)
-    assert fs.min() >= 0.0 and fs.max() <= 1.0
-    lift_verts = sorted({v for c in small_cover.lifts for v in c.vertices})
-    for i, f in enumerate(fs, start=1):
-        assert (f[lift_verts] == 0.0).all()
-        assert (f[vp != i] == 0.0).all()          # supported on its own piece
-        assert f.max() == 1.0                      # plateau is reached
+    cut = small_cover.cut
+    dist = boundary_distances(cut)
+    for N in (1, 2, 3, 1024):
+        collar = collar_data(cut, dist, N)
+        vectors, copies = piece_ramps(cut, collar, dist, N, variant=variant)
+        assert vectors.shape == (len(copies), cut.num_vertices)
+        assert copies.sum() == N and (copies > 0).all()
+        assert len(copies) == min(N, 3)
+        assert vectors.min() >= 0.0 and vectors.max() <= 1.0
+        # 0 on the lifts bounding the piece, and the plateau is reached
+        assert (vectors[0][cut.left_vertices] == 0.0).all()
+        assert (vectors[-1][cut.right_vertices] == 0.0).all()
+        assert (vectors.max(axis=1) == 1.0).all()
 
 
 def test_ramp_variant_rejected(small_cover):
-    dist = lift_distances(small_cover)
-    collar = collar_data(small_cover, dist)
+    cut = small_cover.cut
+    dist = boundary_distances(cut)
     with pytest.raises(BoundError):
-        build_test_functions(small_cover, collar, dist, variant="sideways")
+        piece_ramps(cut, collar_data(cut, dist, 1), dist, 1, variant="sideways")
 
 
 @pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
-def test_cross_terms_vanish_exactly(small_cover, variant):
-    dist = lift_distances(small_cover)
-    collar = collar_data(small_cover, dist)
-    fs = build_test_functions(small_cover, collar, dist, variant=variant)
-    pencil = assemble(small_cover.surface)
-    GK, GB = cross_gram(pencil, fs)
-    off = ~np.eye(3, dtype=bool)
-    assert (GK[off] == 0.0).all()
-    assert (GB[off] == 0.0).all()
-    assert (np.diag(GB) > 0).all()
+def test_cross_terms_vanish_exactly(base_r0, small_cover, on_cover, variant):
+    surface, gamma = base_r0
+    for cover in (small_cover, cyclic_cover(surface, gamma, n=2, N=3)):
+        cut = cover.cut
+        dist = boundary_distances(cut)
+        collar = collar_data(cut, dist, cover.N)
+        fs = on_cover(cover, *piece_ramps(cut, collar, dist, cover.N, variant=variant))
+        pencil = assemble(cover.surface)
+        GK, GB = fs @ (pencil.stiffness @ fs.T), fs @ (pencil.mass @ fs.T)
+        off = ~np.eye(3, dtype=bool)
+        assert (GK[off] == 0.0).all()
+        assert (GB[off] == 0.0).all()
+        assert (np.diag(GB) > 0).all()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("level", [0, 1])
+def test_base_level_ramps_match_the_cover(base_levels, level, N):
+    surface, gamma = base_levels[level]
+    cover = cyclic_cover(surface, gamma, n=2, N=N)
+    cut, d = cover.cut, cover.degree
+    dist = boundary_distances(cut)
+    lift_dist = _lift_distances(cover)
+    cut_pencil, full = assemble(cut), assemble(cover.surface)
+    for variant in ("two-sided", "one-sided"):
+        collar, fs = _cover_ramps(cover, lift_dist, variant)
+        base_collar, quotient = ramp_quotient(cut, cut_pencil, N, variant)
+        assert base_collar == collar          # eta, t, t_requested, t_shrunk
+        for f in fs:
+            reference = rayleigh(full, f)
+            assert abs(quotient - reference) <= 1e-12 * reference
+    # Lift i is the right circle of copy iN-1 and the left circle of copy
+    # iN: within t of it the cut distances are the cover's, bitwise, and
+    # every other copy lies farther than t from it.
+    t = collar.t
+    for i, row in enumerate(lift_dist, start=1):
+        after, before = (i * N) % d, i * N - 1
+        for k, mine in ((after, dist[0]), (before, dist[1])):
+            theirs = row[cover.copy_vertex[k]]
+            near = theirs < t
+            assert near.any()
+            assert np.array_equal(mine[near], theirs[near])
+            assert (mine[~near] >= t).all()
+        others = np.delete(cover.copy_vertex, [after, before], axis=0)
+        assert (row[others] >= t).all()
+
+
+def test_rayleigh_weights_copies(small_cover):
+    cut = small_cover.cut
+    dist = boundary_distances(cut)
+    vectors, copies = piece_ramps(cut, collar_data(cut, dist, 7), dist, 7)
+    pencil = assemble(cut)
+    mine = rayleigh(pencil, vectors, copies)
+    stacked = rayleigh(pencil, np.repeat(vectors, copies, axis=0))
+    assert abs(mine - stacked) <= 1e-14 * stacked
+
+
+@pytest.mark.parametrize("N, copy, circle, message", [
+    (1, 0, "left_vertices", "nonzero on its piece's first copy's left circle"),
+    (2, -1, "right_vertices", "nonzero on its piece's last copy's right circle"),
+    (2, 0, "right_vertices", "copies 0 and 1 of a piece differ"),
+    (5, 1, "left_vertices", "copies 0 and 1 of a piece differ"),
+    (5, 1, "right_vertices", "copies 1 and 1 of a piece differ"),
+])
+def test_support_check_names_the_failure(small_cover, monkeypatch, N, copy, circle, message):
+    real = bound_module.piece_ramps
+
+    def nudged(cut, *args, **kwargs):
+        vectors, copies = real(cut, *args, **kwargs)
+        vectors[copy, getattr(cut, circle)[3]] = 0.5
+        return vectors, copies
+
+    monkeypatch.setattr(bound_module, "piece_ramps", nudged)
+    cut = small_cover.cut
+    with pytest.raises(BoundError, match=message):
+        ramp_quotient(cut, assemble(cut), N)
 
 
 # -- quotients and the certificate ---------------------------------------------
 
 def test_certificate_is_max_quotient(small_cover):
-    dist = lift_distances(small_cover)
-    collar = collar_data(small_cover, dist)
-    fs = build_test_functions(small_cover, collar, dist)
+    _, fs = _cover_ramps(small_cover, _lift_distances(small_cover), "two-sided")
     pencil = assemble(small_cover.surface)
     cert, quotients = minimax_certificate(pencil, fs, small_cover.surface.faces)
     assert quotients == [rayleigh(pencil, f) for f in fs]
@@ -222,8 +293,8 @@ def test_report_internal_identities(sweep_rows):
 def test_report_certifies_small_cover_both_variants(small_cover):
     spectrum = solve_smallest(assemble(small_cover.surface), count=4, tol=1e-9, seed=0)
     for variant in ("two-sided", "one-sided"):
-        report = bound_report(small_cover, assemble(small_cover.cut), spectrum,
-                              variant=variant)
+        report = bound_report(small_cover.cut, assemble(small_cover.cut), spectrum,
+                              n=2, N=1, variant=variant)
         assert report.testfn_variant == variant
         assert report.certificate_holds
         assert report.lambda_n <= report.certificate + 1e-7 * report.scale
@@ -233,7 +304,7 @@ def test_report_certifies_small_cover_both_variants(small_cover):
 def test_report_needs_enough_eigenvalues(small_cover):
     spectrum = solve_smallest(assemble(small_cover.surface), count=2, tol=1e-9, seed=0)
     with pytest.raises(BoundError):
-        bound_report(small_cover, assemble(small_cover.cut), spectrum)
+        bound_report(small_cover.cut, assemble(small_cover.cut), spectrum, n=2, N=1)
 
 
 def test_report_round_trips_through_json(sweep_rows):
@@ -251,20 +322,22 @@ def test_report_round_trips_through_json(sweep_rows):
     assert "lift_clearances" not in restored["collar"]
 
 
-# -- per-lift distance fields ------------------------------------------------------
+# -- distance fields ----------------------------------------------------------------
 
 def test_lift_distances_union_is_bitwise_min(small_cover, cover_r3):
     for cover in (small_cover, cover_r3):
-        dist = lift_distances(cover)
+        dist = _lift_distances(cover)
         assert dist.shape == (cover.n + 1, cover.surface.num_vertices)
         union = distance_to_curves(cover.surface, cover.lifts)
         assert np.array_equal(dist.min(axis=0), union)
 
 
 @pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
-def test_report_runs_one_dijkstra_per_lift(small_cover, monkeypatch, variant):
-    spectrum = solve_smallest(assemble(small_cover.surface), count=4, tol=1e-9, seed=0)
-    pencil = assemble(small_cover.cut)
+def test_report_runs_at_most_two_dijkstra_on_the_cut(base_r0, monkeypatch, variant):
+    surface, gamma = base_r0
+    cut = cut_along(surface, gamma)
+    pencil = assemble(cut)
+    spectrum = SimpleNamespace(values=np.zeros(9))
     real = bound_module.csgraph
     calls = []
 
@@ -272,10 +345,12 @@ def test_report_runs_one_dijkstra_per_lift(small_cover, monkeypatch, variant):
         def __getattr__(self, name):
             return getattr(real, name)
 
-        def dijkstra(self, *args, **kwargs):
-            calls.append(list(kwargs["indices"]))
-            return real.dijkstra(*args, **kwargs)
+        def dijkstra(self, graph, *args, **kwargs):
+            calls.append(graph.shape)
+            return real.dijkstra(graph, *args, **kwargs)
 
     monkeypatch.setattr(bound_module, "csgraph", CountingCsgraph())
-    bound_report(small_cover, pencil, spectrum, variant=variant)
-    assert calls == [sorted(lift.vertices) for lift in small_cover.lifts]
+    for n, N in [(1, 1), (2, 3), (7, 64), (2, 1024)]:
+        calls.clear()
+        bound_report(cut, pencil, spectrum, n, N, variant=variant)
+        assert calls == [(cut.num_vertices, cut.num_vertices)] * 2

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+import hypspectra.cli as cli_module
+import hypspectra.cover as cover_module
 from hypspectra.cli import (CSV_DOC, ConfigError, RunConfig, build_parser,
                             config_hash, load_config, main, parse_config_file)
 from hypspectra.eigen import CharacterSolver, EigensolverError
@@ -187,6 +189,8 @@ def test_sweep_outputs(sweep_dir):
                       "h", "eta", "t", "bound", "certificate", "bound_holds",
                       "certificate_holds", "failed", "config_hash"]
     assert [r[0] for r in rows] == ["1", "2"]
+    # dof is the cover's vertex count, d times the base's 64 vertices
+    assert [r[header.index("dof")] for r in rows] == ["128", "256"]
     expected_hash = config_hash(RunConfig(refine=0, n=1, N=(1, 2)))
     for r in rows:
         assert r[-1] == expected_hash
@@ -222,6 +226,18 @@ def test_sweep_rerun_identical_modulo_timestamp(sweep_dir):
     assert (sweep_dir / "sweep.csv").read_text() == before_csv
     assert (strip_timestamp((sweep_dir / "sweep.json").read_text())
             == strip_timestamp(before_json))
+
+
+def test_sweep_builds_no_cover(tmp_path, monkeypatch, sweep_dir):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep built a cover")
+
+    monkeypatch.setattr(cli_module, "cyclic_cover", refuse)
+    monkeypatch.setattr(cover_module, "cyclic_cover", refuse)
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out), "--testfn", "one-sided"] + TINY) == 0
+    assert main(["sweep", "--out", str(out)] + TINY) == 0
+    assert (out / "sweep.csv").read_text() == (sweep_dir / "sweep.csv").read_text()
 
 
 def test_sweep_records_solver_failures(tmp_path, monkeypatch):
@@ -389,6 +405,7 @@ def test_oracle_check_all_pass(tmp_path):
                      "area_matches_curvature_total",
                      "euler_characteristic_multiplicative",
                      "collar_theorem_clearance",
+                     "base_vs_cover_certificate",
                      "floquet_vs_dense_cover",
                      "inertia_vs_dense_cover",
                      "deck_relabeling_preserves_pencil_bits"]
