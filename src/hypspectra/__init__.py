@@ -8,7 +8,8 @@ from .bound import (BoundError, BoundReport, CollarData, bound_report,
 from .cover import CoverError, CoverSurface, cyclic_cover, verify_deck_symmetry
 from .eigen import (CharacterSolver, CharacterSpectrum, EigensolverError, SpectrumResult,
                     dense_oracle, residuals, solve_smallest)
-from .fem import SparsePencil, assemble, element_mass, element_stiffness, refine
+from .fem import (SparsePencil, assemble, element_mass, element_stiffness, prolongation,
+                  refine)
 from .surface import (CurveError, FenchelNielsenSpec, MeshCurve, MeshError,
                       TriangulatedSurface, build_surface, curve_from_vertex_cycle,
                       cut_along, read_hypmesh, write_hypmesh)
@@ -22,7 +23,7 @@ __all__ = [
     "collar_data", "collar_width",
     "curve_from_vertex_cycle", "cut_along", "cyclic_cover", "dense_oracle",
     "element_mass", "element_stiffness",
-    "minimax_certificate", "piece_ramps", "ramp_quotient", "rayleigh",
+    "minimax_certificate", "piece_ramps", "prolongation", "ramp_quotient", "rayleigh",
     "read_hypmesh", "refine", "residuals", "solve_smallest",
     "verify_deck_symmetry", "write_hypmesh",
 ]

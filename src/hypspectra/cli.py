@@ -41,7 +41,7 @@ from .bound import (RAMP_CAP, BoundError, CollarData, bound_report, collar_width
                     distance_to_curves, minimax_certificate, ramp_quotient)
 from .cover import cyclic_cover
 from .eigen import CharacterSolver, EigensolverError, dense_oracle, solve_smallest
-from .fem import SparsePencil, assemble, refine
+from .fem import SparsePencil, assemble, prolongation, refine
 from .surface import FenchelNielsenSpec, MeshError, build_surface, cut_along, write_hypmesh
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "load_config", "main"]
@@ -362,18 +362,25 @@ def cmd_converge(config: RunConfig) -> int:
     area_target = -2.0 * math.pi * surface.euler_characteristic()
     areas_ok = True
     kernel_ok = True
+    # Each level starts Lanczos from the level below's eigenvectors,
+    # interpolated onto its mesh.
+    start = None
     for level in range(config.refine + 1):
         if level:
+            start = prolongation(surface) @ spectrum.vectors
             surface, _ = refine(surface)
         pencil = assemble(surface, mass=config.mass)
         spectrum = solve_smallest(pencil, count=count, tol=config.tol,
-                                  seed=config.seed)
+                                  seed=config.seed, start=start)
         area = float(surface.total_area())
         scale = pencil.stiffness.diagonal().sum() / pencil.dof
         areas_ok &= bool(abs(area - area_target) <= 1e-8)
         kernel_ok &= bool(abs(spectrum.values[0]) <= 1e-8 * scale)
         rows.append({"level": level, "dof": pencil.dof, "area": area,
                      "lambda": [float(v) for v in spectrum.values],
+                     "eigen": {"operator_applies": spectrum.iterations,
+                               "max_residual": float(spectrum.residuals.max()),
+                               "shift": spectrum.shift},
                      "config_hash": chash})
 
     ratios = {}

@@ -127,16 +127,23 @@ def residuals(K, B, values, vectors) -> np.ndarray:
 
 
 def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
-                   maxiter=None) -> SpectrumResult:
+                   maxiter=None, start=None) -> SpectrumResult:
     """Compute the `count` smallest eigenpairs of the pencil.
 
     Shift-invert Lanczos around a small negative shift (the spectrum is
     nonnegative, so every wanted eigenvalue is on the near side of the
     shift).  A complex Hermitian pencil goes through ARPACK's complex
     routine.  `iterations` reports how many times the factorized
-    operator was applied.  The starting vector is seeded, so repeated
-    runs are reproducible.  Problems too small for the sparse path fall
+    operator was applied.  Problems too small for the sparse path fall
     back to the dense route.
+
+    The starting vector is seeded, so repeated runs are reproducible.
+    Without `start` it is a standard normal vector of the seed.  `start`
+    is a block of columns over the pencil's dof, such as the eigenvectors
+    of a coarser mesh interpolated onto this one; the starting vector is
+    then the block times a standard normal vector of the seed, one
+    coefficient per column.  A start rich in the wanted eigenvectors
+    lets Lanczos converge without restarts.
     """
     K = pencil.stiffness.tocsr()
     B = pencil.mass.tocsr()
@@ -145,12 +152,17 @@ def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
         raise EigensolverError("count must be at least 1")
     if count > n:
         raise EigensolverError(f"asked for {count} eigenvalues of a {n}-dof problem")
-    return _shift_invert(K, B, count, ROOMY_BASIS, tol, seed, maxiter)
+    return _shift_invert(K, B, count, ROOMY_BASIS, tol, seed, maxiter, start)
 
 
 def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
-                  maxiter) -> SpectrumResult:
+                  maxiter, start=None) -> SpectrumResult:
     n = K.shape[0]
+    if start is not None:
+        start = np.asarray(start)
+        if start.ndim != 2 or start.shape[0] != n:
+            raise EigensolverError(f"start block of shape {start.shape} does not "
+                                   f"have {n} rows")
     dtype = np.result_type(K.dtype, B.dtype, np.float64)
     scale = K.diagonal().sum().real / n
     sigma = -1e-2 * scale
@@ -176,7 +188,10 @@ def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
 
     opinv = LinearOperator((n, n), matvec=apply_inv, dtype=dtype)
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n).astype(dtype)
+    if start is None:
+        v0 = rng.standard_normal(n).astype(dtype)
+    else:
+        v0 = (start @ rng.standard_normal(start.shape[1])).astype(dtype)
     extra, per_pair, least = basis
     k_solve = min(count + extra, k_max)
     ncv = min(n, max(per_pair * k_solve + 1, least))

@@ -9,10 +9,19 @@ identities on the parent lengths.
 The stiffness matrix uses the cotangent weights of the Euclidean
 comparison triangle of each face (the Euclidean triangle with the same
 side lengths), while the mass matrix uses the hyperbolic triangle
-areas.  Matrix entries are accumulated in a canonical order (sorted by
-row, column, then value), which makes assembly invariant under any
-relabeling of faces: permuting the mesh by a symmetry permutes the
-matrices exactly, with bitwise-equal entries.
+areas.  Matrix entries are accumulated in a canonical order, which
+makes assembly invariant under any relabeling of faces: permuting the
+mesh by a symmetry permutes the matrices exactly, with bitwise-equal
+entries.  The element terms are sorted once by (row, column), and only
+the entries with three or more terms are then sorted by value.  The sum
+of one or two terms does not depend on their order (a + b == b + a
+bitwise in IEEE arithmetic), so every entry has the same bits whatever
+order the faces come in, and a relabeled mesh gives the permuted matrix
+bit for bit.
+
+`prolongation` is the P1 interpolation from a surface to its `refine`,
+which carries eigenvectors of one level up to the next as a starting
+block for the solver.
 
 `assemble` reads only faces, lengths and the vertex count, so it also
 assembles a surface cut open along a curve.  That pencil also gives the
@@ -36,6 +45,7 @@ __all__ = [
     "assemble",
     "element_mass",
     "element_stiffness",
+    "prolongation",
     "refine",
 ]
 
@@ -117,6 +127,22 @@ def refine(surface: TriangulatedSurface, curves=()):
     return refined, out_curves
 
 
+def prolongation(surface: TriangulatedSurface) -> sparse.csr_matrix:
+    """P1 interpolation from `surface` to `refine(surface)`, as a sparse matrix.
+
+    Old vertices keep their values (unit rows) and the midpoint of each
+    edge takes the mean of its two ends.  Every edge is seen from its two
+    sides, and each side adds a quarter to each end.
+    """
+    V = surface.num_vertices
+    mid = _midpoint_ids(surface)
+    ends = surface.faces[:, [[1, 2], [2, 0], [0, 1]]]     # side s: v_{s+1} -> v_{s+2}
+    rows = np.concatenate([np.arange(V), np.repeat(mid.reshape(-1), 2)])
+    cols = np.concatenate([np.arange(V), ends.reshape(-1)])
+    vals = np.concatenate([np.ones(V), np.full(ends.size, 0.25)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(int(mid.max()) + 1, V))
+
+
 @dataclass
 class SparsePencil:
     """Stiffness/mass pair (K, B) over the mesh vertices."""
@@ -172,23 +198,36 @@ def element_mass(lengths, lumped: bool = False) -> np.ndarray:
     return elem
 
 
-def _canonical_csr(rows, cols, vals, n) -> sparse.csr_matrix:
-    """COO triples to CSR with a value-canonical summation order.
+def _canonical_sum(rows, cols, n):
+    """Summation of COO triples over one pattern: returns vals -> CSR.
 
-    Triples are sorted by (row, col, value) before duplicate entries
-    are added, so the result does not depend on the order in which
-    elements were emitted.  Relabeling the mesh by a permutation P then
-    reproduces the matrix exactly: P^T A P has bitwise-equal entries.
+    The triples are sorted once, stably, by the key row*n + col.  Each
+    group of three or more terms is then sorted by value, stably, so it
+    is summed in the same order whatever order the elements were emitted
+    in.  A group of two needs no sort: a + b == b + a bitwise.  The
+    order is computed once and serves every value array over the pattern.
     """
-    order = np.lexsort((vals, cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
-    summed = np.add.reduceat(vals, starts)
-    mat = sparse.csr_matrix((summed, (rows[starts], cols[starts])), shape=(n, n))
-    mat.sum_duplicates()
-    return mat
+    sizes = np.diff(starts, append=len(keys))
+    # Positions of the groups of m >= 3 terms, one (groups, m) block per m.
+    blocks = [starts[sizes == m, None] + np.arange(m) for m in np.unique(sizes[sizes >= 3])]
+    unique = keys[starts]
+    indptr = np.searchsorted(unique, np.arange(n + 1) * n)
+    indices = unique % n
+
+    def to_csr(vals) -> sparse.csr_matrix:
+        vals = vals[order]
+        for pos in blocks:
+            vals[pos] = np.sort(vals[pos], axis=1, kind="stable")
+        return sparse.csr_matrix((np.add.reduceat(vals, starts), indices, indptr),
+                                 shape=(n, n))
+
+    return to_csr
 
 
 def assemble(surface: TriangulatedSurface | CutSurface,
@@ -206,13 +245,13 @@ def assemble(surface: TriangulatedSurface | CutSurface,
     loc_j = np.broadcast_to(np.arange(3)[None, :], (3, 3))
     rows = surface.faces[:, loc_i].reshape(-1)
     cols = surface.faces[:, loc_j].reshape(-1)
-    K = _canonical_csr(rows, cols, ek.reshape(-1), n)
+    pattern = _canonical_sum(rows, cols, n)
+    K = pattern(ek.reshape(-1))
     if mass == "lumped":
         diag = surface.faces.reshape(-1)
         third = np.repeat(hypgeom.triangle_areas(surface.lengths) / 3.0, 3)
-        B = _canonical_csr(diag, diag, third, n)
+        B = _canonical_sum(diag, diag, n)(third)
     else:
-        em = element_mass(surface.lengths)
-        B = _canonical_csr(rows, cols, em.reshape(-1), n)
+        B = pattern(element_mass(surface.lengths).reshape(-1))
     return SparsePencil(stiffness=K, mass=B)
 

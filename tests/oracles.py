@@ -1,10 +1,14 @@
-"""Reference constants for the frozen-value tests.
+"""Reference constants for the frozen-value tests, and reference routines.
 
-Computed once at 50-digit precision (devtools/freeze_oracles.py) and
-rounded to the nearest float64.  The pipeline reproduces these through
-different expression orderings, so comparisons allow a few ulp of
-relative slack rather than demanding bitwise equality.
+The constants were computed once at 50-digit precision
+(devtools/freeze_oracles.py) and rounded to the nearest float64.  The
+pipeline reproduces these through different expression orderings, so
+comparisons allow a few ulp of relative slack rather than demanding
+bitwise equality.
 """
+
+import numpy as np
+from scipy import sparse
 
 FROZEN = {
     # equilateral triangle, all sides 1
@@ -41,3 +45,20 @@ REL = 1e-13  # a few ulp of float64 headroom
 
 def close(a, b, rel=REL):
     return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+
+
+def canonical_csr_lexsort(rows, cols, vals, n) -> sparse.csr_matrix:
+    """Reference canonical summation: every triple sorted by (row, col, value).
+
+    The assembly's summation sorts by value only the groups of three or
+    more terms, and must give these bits exactly.
+    """
+    order = np.lexsort((vals, cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    summed = np.add.reduceat(vals, starts)
+    mat = sparse.csr_matrix((summed, (rows[starts], cols[starts])), shape=(n, n))
+    mat.sum_duplicates()
+    return mat

@@ -389,6 +389,24 @@ def test_converge_outputs(converge_dir):
     assert all(doc["asserted"].values())
     assert set(doc["ratios"]) == {"1", "2", "3", "4"}
     assert len(doc["ratio_flags"]) == 4      # one interior triple per k
+    for row in doc["rows"]:
+        eig = row["eigen"]
+        assert set(eig) == {"operator_applies", "max_residual", "shift"}
+        assert eig["max_residual"] <= 1e-9
+        assert eig["shift"] < 0
+        # levels above 0 start from the level below: one Lanczos pass, no restart
+        assert row["level"] == 0 or eig["operator_applies"] <= 42
+
+
+def test_converge_rerun_is_byte_identical(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["converge", "--out", str(out), "--refine", "3", "--seed", "3"]) == 0
+    a, b = ((out / "converge.csv").read_bytes() for out in outs)
+    assert a == b
+    # a cold start needs 68 operator applies at level 3 with this seed
+    rows = json.loads((outs[0] / "converge.json").read_text())["rows"]
+    assert all(row["eigen"]["operator_applies"] <= 42 for row in rows)
 
 
 # -- oracle-check --------------------------------------------------------------------

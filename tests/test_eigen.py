@@ -10,7 +10,7 @@ from hypspectra import eigen
 from hypspectra.cover import cut_along, cyclic_cover
 from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, CharacterSolver, EigensolverError,
                               dense_oracle, residuals, solve_smallest)
-from hypspectra.fem import SparsePencil, assemble
+from hypspectra.fem import SparsePencil, assemble, prolongation
 
 
 def pencil_from_dense(K, B):
@@ -171,7 +171,74 @@ def test_vectors_mass_orthonormal(base_r0):
     assert np.abs(gram - np.eye(5)).max() <= 1e-8
 
 
+# -- warm start across refinement levels ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def warm_chains(base_levels):
+    """Per seed 0..3: cold and warm-started spectra at refinement 0..3.
+
+    Level 0 is cold in both; each warm level starts from the warm level
+    below, interpolated onto its mesh, as `converge` does.
+    """
+    pencils = [assemble(surface) for surface, _ in base_levels]
+    chains = {}
+    for seed in range(4):
+        cold = [solve_smallest(p, count=5, tol=1e-9, seed=seed) for p in pencils]
+        warm = cold[:1]
+        for level in range(1, len(pencils)):
+            start = prolongation(base_levels[level - 1][0]) @ warm[-1].vectors
+            warm.append(solve_smallest(pencils[level], count=5, tol=1e-9, seed=seed,
+                                       start=start))
+        chains[seed] = cold, warm
+    return pencils, chains
+
+
+def test_warm_start_matches_cold_solve(warm_chains):
+    pencils, chains = warm_chains
+    for seed, (cold, warm) in chains.items():
+        for level in range(1, len(pencils)):
+            a, b = warm[level].values, cold[level].values
+            assert np.all(np.abs(a[1:] - b[1:]) <= 1e-10 * b[1:]), (seed, level)
+            scale = pencils[level].stiffness.diagonal().sum() / pencils[level].dof
+            assert abs(a[0]) <= 1e-8 * scale                  # the constant mode
+            assert warm[level].residuals.max() <= 1e-9
+            # one Lanczos pass; cold starts need 68 applies at level 3 for seeds 0, 2, 3
+            assert warm[level].iterations <= 42
+    oracle = dense_oracle(pencils[1], count=5).values
+    for _, warm in chains.values():
+        assert np.all(np.abs(warm[1].values[1:] - oracle[1:]) <= 1e-10 * oracle[1:])
+
+
+def test_warm_start_keeps_the_symmetry_double(warm_chains):
+    # The default base has a double lambda_2 = lambda_3 that its symmetry
+    # forces; a start block from the level below must not lose one copy.
+    _, chains = warm_chains
+    for _, warm in chains.values():
+        for result in warm:
+            lam = result.values
+            assert abs(lam[2] - lam[3]) <= 1e-9 * lam[2]
+            assert lam[4] - lam[3] > 0.1 * lam[3]
+
+
+def test_warm_start_is_seeded():
+    rng = np.random.default_rng(7)
+    pencil = random_pencil(rng, 48)
+    start = rng.standard_normal((48, 5))
+    r1, r2, r3 = (solve_smallest(pencil, count=5, tol=1e-9, seed=seed, start=start)
+                  for seed in (11, 11, 12))
+    assert r1.values.tobytes() == r2.values.tobytes()
+    assert r1.vectors.tobytes() == r2.vectors.tobytes()
+    assert r1.vectors.tobytes() != r3.vectors.tobytes()
+
+
 # -- errors -----------------------------------------------------------------------
+
+def test_start_block_must_match_the_dof(base_levels):
+    pencil = assemble(base_levels[1][0])
+    for start in (np.ones((pencil.dof - 1, 5)), np.ones(pencil.dof)):
+        with pytest.raises(EigensolverError):
+            solve_smallest(pencil, count=5, start=start)
+
 
 def test_count_bounds():
     pencil = pencil_from_dense(np.eye(3), np.eye(3))

@@ -8,9 +8,11 @@ from scipy.sparse import csgraph
 
 from hypspectra.cover import cyclic_cover
 from hypspectra.bound import rayleigh
-from hypspectra.fem import assemble, element_mass, element_stiffness, refine
+from hypspectra.fem import (_canonical_sum, assemble, element_mass, element_stiffness,
+                            prolongation, refine)
 from hypspectra.hypgeom import GeometryError, triangle_areas
 from hypspectra.surface import curve_from_vertex_cycle
+from oracles import canonical_csr_lexsort
 
 side = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)
 
@@ -60,6 +62,27 @@ def test_refine_twice_composes(base_levels):
     surface2, _ = base_levels[2]
     assert surface2.num_faces == 16 * surface0.num_faces
     assert abs(surface2.total_area() - surface0.total_area()) <= 1e-9
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_prolongation_interpolates_onto_refine(base_levels, level):
+    coarse, _ = base_levels[level]
+    fine, _ = base_levels[level + 1]
+    V = coarse.num_vertices
+    P = prolongation(coarse)
+    assert P.shape == (fine.num_vertices, V)
+    assert np.array_equal(P @ np.ones(V), np.ones(fine.num_vertices))
+    dense = P.toarray()
+    assert np.array_equal(dense[:V], np.eye(V))
+    # refine's central child 4f has the midpoint of parent side s as corner s,
+    # and side s of the parent joins its corners s+1 and s+2.
+    expect = np.zeros_like(dense[V:])
+    for s in range(3):
+        mids = fine.faces[0::4, s] - V
+        ends = coarse.faces[:, (s + 1) % 3], coarse.faces[:, (s + 2) % 3]
+        assert np.all(ends[0] != ends[1])
+        expect[mids, ends[0]] = expect[mids, ends[1]] = 0.5
+    assert np.array_equal(dense[V:], expect)
 
 
 # -- element matrices ---------------------------------------------------------
@@ -175,6 +198,58 @@ def test_assemble_deterministic_bits(base_r0):
     p2 = assemble(surface)
     assert p1.stiffness.data.tobytes() == p2.stiffness.data.tobytes()
     assert p1.mass.data.tobytes() == p2.mass.data.tobytes()
+
+
+def random_triples(rng, n, groups):
+    """COO triples on `groups` distinct (row, col) keys with 1..8 terms each.
+
+    Values mix magnitudes (so the sum depends on the order of addition),
+    repeat within a group, and include +0.0 and -0.0.
+    """
+    keys = rng.choice(n * n, size=groups, replace=False)
+    sizes = rng.integers(1, 9, size=groups)
+    rows, cols = np.repeat(keys // n, sizes), np.repeat(keys % n, sizes)
+    vals = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-8, 9, size=len(rows))
+    pick = rng.random(len(rows))
+    vals[pick < 0.3] = rng.choice([0.0, -0.0, 1.5, -1.5, 1e16, -1e16],
+                                  size=int(np.count_nonzero(pick < 0.3)))
+    return rows, cols, vals
+
+
+def assert_same_csr_bits(mine, ref):
+    assert mine.indptr.dtype == ref.indptr.dtype
+    assert mine.indices.dtype == ref.indices.dtype
+    assert np.array_equal(mine.indptr, ref.indptr)
+    assert np.array_equal(mine.indices, ref.indices)
+    assert np.array_equal(mine.data.view(np.int64), ref.data.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonical_sum_matches_full_sort_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    rows, cols, vals = random_triples(rng, n, groups=60)
+    ref = canonical_csr_lexsort(rows, cols, vals, n)
+    emissions = [np.arange(len(rows)), np.arange(len(rows))[::-1]]
+    emissions += [rng.permutation(len(rows)) for _ in range(4)]
+    for order in emissions:
+        assert_same_csr_bits(_canonical_sum(rows[order], cols[order], n)(vals[order]), ref)
+
+
+def test_canonical_sum_reuses_its_order(base_r0):
+    surface, _ = base_r0
+    n = surface.num_vertices
+    rows, cols = np.repeat(surface.faces, 3, axis=1), np.tile(surface.faces, 3)
+    rows, cols = rows.reshape(-1), cols.reshape(-1)
+    pattern = _canonical_sum(rows, cols, n)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        vals = rng.standard_normal(len(rows))
+        assert_same_csr_bits(pattern(vals), canonical_csr_lexsort(rows, cols, vals, n))
+    pencil = assemble(surface)
+    for mat, elem in ((pencil.stiffness, element_stiffness(surface.lengths)),
+                      (pencil.mass, element_mass(surface.lengths))):
+        assert_same_csr_bits(mat, canonical_csr_lexsort(rows, cols, elem.reshape(-1), n))
 
 
 def assert_deck_equivariant_bits(mat, deck_vertex):
