@@ -23,12 +23,19 @@ Only a few low phases hold the smallest eigenvalues of a cover, and
 spectrum slicing finds them (Ericsson & Ruhe, Math. Comp. 35, 1980;
 Parlett, The Symmetric Eigenvalue Problem).  By Sylvester's law of
 inertia, the eigenvalues of a pencil (K, B) below a shift sigma number
-the negative pivots of an LDL^H factorization of K - sigma B.  A degree's
+the negative eigenvalues of A = K - sigma B.  The phase enters A only
+through the entries that cross the seam, so split the base vertices
+into the seam S and the rest I: A_II is real and the same for every
+phase, and Haynsworth's inertia additivity (Linear Algebra Appl. 1,
+1968) gives In(A(w)) = In(A_II) + In(S(w)) with the seam Schur
+complement S(w) = A_SS(w) - A_IS(w)^H A_II^{-1} A_IS(w).  One real
+LDL^T factorization of A_II and one solve with the seam columns give
+every S(w) as a combination of three small fixed matrices.  A degree's
 spectrum solves a few low phases, puts sigma just above the smallest
-values found, counts every phase's eigenvalues below sigma with one
-factorization, and runs Lanczos only where the count is positive.  Each
-phase's count must equal the number of its solved eigenvalues below
-sigma, so no eigenvalue below sigma is missed without the solve failing.
+values found, counts every phase's eigenvalues below sigma through its
+S(w), and runs Lanczos only where the count is positive.  Each phase's
+count must equal the number of its solved eigenvalues below sigma, so
+no eigenvalue below sigma is missed without the solve failing.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
@@ -69,6 +77,14 @@ CHARACTER_BASIS = (1, 2, 10)
 # small one leaves the higher phases with no eigenvalue below the shift.
 SLICE_MARGIN = 1e-6
 
+# Seam Schur complements per eigvalsh call.  Stacking every phase of a
+# high degree at once costs memory and gains no speed.
+SCHUR_CHUNK = 16
+
+# Seam columns per solve with the interior block.  The 2s columns of a
+# refine-4 sweep at once would hold two dense 16766 x 256 arrays (69 MB).
+SOLVE_COLUMNS = 64
+
 
 class EigensolverError(RuntimeError):
     """The eigensolver failed to converge or was called out of range."""
@@ -98,7 +114,8 @@ class CharacterSpectrum:
     below_sigma is the number of the cover's eigenvalues below the
     slicing shift sigma by inertia, each character pair counted twice;
     it equals the number of solved eigenvalues below sigma.
-    factorizations counts the inertia factorizations this spectrum ran.
+    factorizations counts the sparse inertia factorizations this
+    spectrum ran: 1, the seam Schur complement's, for every degree.
     """
 
     values: np.ndarray
@@ -240,25 +257,6 @@ def dense_oracle(pencil, count: int) -> SpectrumResult:
                           dof=n, shift=0.0, tol=0.0)
 
 
-def _count_below(K, B, sigma: float) -> int:
-    """Number of eigenvalues of the Hermitian pencil (K, B) below sigma.
-
-    B must be positive definite.  SuperLU in symmetric mode, with no
-    threshold pivoting, factors P (K - sigma B) P^T = L U with one
-    permutation P, and then U = D L^H.  By Sylvester's law of inertia the
-    negative entries of D count the eigenvalues below sigma.
-    """
-    try:
-        lu = splu((K - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0, options={"SymmetricMode": True})
-    except RuntimeError as e:
-        raise EigensolverError(f"inertia factorization of K - sigma*B broke down: {e}") from e
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise EigensolverError("inertia factorization pivoted off the diagonal "
-                               "(perm_r != perm_c), so its pivots do not give the inertia")
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
-
-
 def _phase_parts(pencil, base_vertex: np.ndarray, seam) -> tuple:
     """The cut pencil's entries summed onto the base pattern, by phase.
 
@@ -289,6 +287,40 @@ def _phase_parts(pencil, base_vertex: np.ndarray, seam) -> tuple:
             parts(slice(K.nnz, None), B.data))
 
 
+def _character(phase: tuple):
+    """Character value w = exp(2 pi i p / q) of phase p/q, a real +-1 when q <= 2."""
+    p, q = phase
+    return np.exp(2j * np.pi * p / q) if q > 2 else (-1.0) ** p
+
+
+def _seam_blocks(parts, seam: np.ndarray) -> list:
+    """The phase parts cut into interior and seam blocks, for K and for B.
+
+    `seam` lists the base vertices of the seam S; I is the rest.  Returns
+    one (II, X, SS) per matrix: II is the I x I block, which no phase
+    changes; X holds the p = 0 and p = 1 parts of the I x S block side by
+    side; SS stacks the three parts of the S x S block, dense.  Raises
+    unless the p = 1 part has its columns and the p = 2 part its rows on
+    the seam, for then the phase changes no other block, and the S x I
+    block of character w is the conjugate transpose of X0 + w X1.
+    """
+    indptr, indices, *matrices = parts
+    V = len(indptr) - 1
+    on_seam = np.zeros(V, dtype=bool)
+    on_seam[seam] = True
+    inner, S = np.flatnonzero(~on_seam), np.flatnonzero(on_seam)
+    blocks = []
+    for data in matrices:
+        p0, p1, p2 = (sparse.csr_matrix((d, indices, indptr), shape=(V, V)) for d in data)
+        if p1[:, inner].count_nonzero() or p2[inner].count_nonzero():
+            raise EigensolverError("seam Schur complement: a phase-dependent entry "
+                                   "lies off the seam's rows and columns")
+        blocks.append((p0[inner][:, inner].tocsc(),
+                       sparse.hstack([m[inner][:, S] for m in (p0, p1)], format="csc"),
+                       np.stack([m[S][:, S].toarray() for m in (p0, p1, p2)])))
+    return blocks
+
+
 class CharacterSolver:
     """The smallest eigenvalues of the cyclic covers of one cut surface.
 
@@ -306,10 +338,15 @@ class CharacterSolver:
     count-th smallest value they give, and counts each phase k/d,
     k in 0..d//2, below sigma by inertia; Lanczos runs only on the
     phases whose count is positive.  A phase whose count differs from
-    its solved eigenvalues below sigma fails the spectrum by name.  A
-    phase with no eigenvalue below sigma has none below any smaller
-    shift, so it keeps the largest such shift and skips its
-    factorization when a later degree asks for a smaller one.
+    its solved eigenvalues below sigma fails the spectrum by name.  The
+    counts come from the seam Schur complement (Haynsworth): with S the
+    base vertices of the seam and I the rest, A(w) = K(w) - sigma B(w)
+    has the inertia of A_II plus that of
+    S(w) = (SS0 - G00 - G11) + w (SS1 - G01) + conj(w) (SS2 - G10),
+    where SSp is the p-th phase part of A_SS, and Gij = Xi^T A_II^{-1} Xj
+    for the p = 0 and p = 1 parts X0, X1 of A_IS.  So one real LDL^T of
+    A_II and one solve with the 2s columns of X count every phase of a
+    degree, and each phase costs one s x s Hermitian eigvalsh.
 
     Each phase is solved the first time any degree needs it, in lowest
     terms p/q with w = exp(2 pi i p / q), and keeps only its eigenvalues
@@ -327,8 +364,8 @@ class CharacterSolver:
         self.dof = int(base_vertex.max()) + 1
         self.count, self.tol, self.seed = count, tol, seed
         self._parts = _phase_parts(pencil, base_vertex, seam)
+        self._seam = _seam_blocks(self._parts, base_vertex[np.asarray(seam, dtype=np.int64)])
         self._phases = {}
-        self._clear = {}
 
     def spectrum(self, degree: int) -> CharacterSpectrum:
         """The `count` smallest eigenvalues of the degree-`degree` cover."""
@@ -341,7 +378,7 @@ class CharacterSolver:
         for k in range(degree // 2 + 1):
             g = math.gcd(k, degree)
             phases.append((k // g, degree // g))
-        solved = applies = factorizations = below = 0
+        solved = applies = below = 0
 
         def failure(k, why):
             return EigensolverError(f"character k={k} of degree {degree}: {why}")
@@ -359,18 +396,13 @@ class CharacterSolver:
 
         boot = [solve(k) for k in range(min(self.count // 2, degree // 2) + 1)]
         sigma = float(np.sort(np.concatenate(boot))[self.count - 1]) * (1 + SLICE_MARGIN)
+        try:
+            counts = self._counts(phases, sigma)
+        except EigensolverError as e:
+            raise EigensolverError(f"seam Schur complement of degree {degree} at "
+                                   f"sigma={sigma!r}: {e}") from e
         for k, phase in enumerate(phases):
-            copies = 2 if phase[1] > 2 else 1
-            if self._clear.get(phase, -math.inf) >= sigma:
-                counted = 0
-            else:
-                try:
-                    counted = copies * _count_below(*self._pencil(phase), sigma)
-                except EigensolverError as e:
-                    raise failure(k, e) from e
-                factorizations += 1
-                if counted == 0:
-                    self._clear[phase] = sigma
+            counted = (2 if phase[1] > 2 else 1) * int(counts[k])
             if counted:
                 solve(k)
             values = self._phases[phase][0] if phase in self._phases else np.empty(0)
@@ -384,12 +416,48 @@ class CharacterSolver:
         order = np.argsort(values, kind="stable")[:self.count]
         return CharacterSpectrum(values=values[order], residuals=res[order],
                                  solved=solved, iterations=applies, sigma=sigma,
-                                 below_sigma=below, factorizations=factorizations)
+                                 below_sigma=below, factorizations=1)
+
+    def _counts(self, phases: list, sigma: float) -> np.ndarray:
+        """Eigenvalues below sigma of each phase's character pencil, by inertia.
+
+        SuperLU in symmetric mode, with no threshold pivoting, factors
+        P A_II P^T = L U with one permutation P, and then U = D L^T: the
+        negative entries of D are A_II's negative eigenvalues (Sylvester).
+        """
+        (KII, KX, KSS), (BII, BX, BSS) = self._seam
+        try:
+            lu = splu(KII - sigma * BII, permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+        except RuntimeError as e:
+            raise EigensolverError(f"LDL^T of the interior block A_II broke down: {e}") from e
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise EigensolverError("LDL^T of the interior block A_II pivoted off the "
+                                   "diagonal (perm_r != perm_c), so its pivots do not "
+                                   "give the inertia")
+        pivots = lu.U.diagonal()
+        if not np.all(np.isfinite(pivots) & (pivots != 0)):
+            raise EigensolverError("the interior block A_II is singular")
+        X = KX - sigma * BX
+        G = np.hstack([X.T @ lu.solve(X[:, at:at + SOLVE_COLUMNS].toarray())
+                       for at in range(0, X.shape[1], SOLVE_COLUMNS)])
+        if not np.all(np.isfinite(G)):
+            raise EigensolverError("the solve with the interior block A_II is not finite")
+        s = G.shape[0] // 2
+        SS = KSS - sigma * BSS
+        fixed = SS[0] - G[:s, :s] - G[s:, s:]
+        cross, cross_h = SS[1] - G[:s, s:], SS[2] - G[s:, :s]
+        w = np.array([_character(phase) for phase in phases], dtype=complex)[:, None, None]
+        counts = np.full(len(phases), np.count_nonzero(pivots < 0))
+        for at in range(0, len(phases), SCHUR_CHUNK):
+            chunk = w[at:at + SCHUR_CHUNK]
+            schur = fixed + chunk * cross + np.conj(chunk) * cross_h
+            counts[at:at + SCHUR_CHUNK] += np.count_nonzero(eigvalsh(schur) < 0, axis=1)
+        return counts
 
     def _pencil(self, phase: tuple):
         """(K, B) of phase p/q's character w = exp(2 pi i p / q) over the base vertices."""
-        p, q = phase
-        w = np.exp(2j * np.pi * p / q) if q > 2 else (-1.0) ** p
+        w = _character(phase)
         indptr, indices, kparts, bparts = self._parts
         V = self.dof
         return tuple(sparse.csr_matrix((c[0] + w * c[1] + np.conj(w) * c[2], indices, indptr),

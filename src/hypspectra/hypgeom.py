@@ -13,7 +13,6 @@ mesh quantity a function of the stored combinatorics + lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +22,11 @@ DEGENERACY_RTOL = 1e-12
 
 __all__ = [
     "GeometryError",
-    "HyperboloidPoint",
     "acosh1p",
     "corner_angles",
     "coshm1",
     "project_tangent",
     "geodesic_direction",
-    "geodesic_midpoint",
     "geodesic_point",
     "hexagon_seam_length",
     "hyp_distance",
@@ -138,43 +135,6 @@ def project_tangent(p, u):
 def coshm1(x):
     """cosh(x) - 1 evaluated without cancellation near zero."""
     return 2.0 * np.sinh(0.5 * np.asarray(x, dtype=float)) ** 2
-
-
-@dataclass(frozen=True)
-class HyperboloidPoint:
-    """A point on the upper hyperboloid sheet, validated on construction."""
-
-    x0: float
-    x1: float
-    x2: float
-
-    def __post_init__(self):
-        nrm = self.x0 * self.x0 - self.x1 * self.x1 - self.x2 * self.x2
-        if not math.isfinite(nrm) or abs(nrm - 1.0) > 1e-12 * max(1.0, self.x0 * self.x0):
-            raise GeometryError(f"point is off the hyperboloid sheet: <p,p>={nrm!r}")
-        if self.x0 <= 0:
-            raise GeometryError("point is on the lower sheet")
-
-    @classmethod
-    def from_array(cls, v) -> "HyperboloidPoint":
-        v = np.asarray(v, dtype=float)
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2])
-
-
-def geodesic_midpoint(p: HyperboloidPoint, q: HyperboloidPoint) -> HyperboloidPoint:
-    """Midpoint of the geodesic segment pq.
-
-    The Minkowski-normalized sum (p+q)/|p+q| is the midpoint: by the
-    half-angle identity <p, m> = sqrt((1 + <p,q>)/2) = cosh(d(p,q)/2).
-    Coincident endpoints are rejected.
-    """
-    pa, qa = p.as_array(), q.as_array()
-    if hyp_distance(pa, qa) == 0.0:
-        raise GeometryError("midpoint of coincident points is not defined")
-    return HyperboloidPoint.from_array(normalize_point(pa + qa))
 
 
 def validate_triangle_lengths(a, b, c):

@@ -7,6 +7,7 @@ import pytest
 
 import hypspectra.cli as cli_module
 import hypspectra.cover as cover_module
+import hypspectra.eigen as eigen_module
 from hypspectra.cli import (CSV_DOC, ConfigError, RunConfig, build_parser,
                             config_hash, load_config, main, parse_config_file)
 from hypspectra.eigen import CharacterSolver, EigensolverError
@@ -213,8 +214,9 @@ def test_sweep_outputs(sweep_dir):
         assert 0 <= eigen["max_residual"] <= 1e-12
         assert row["lambda"][-1] < eigen["sigma"] <= row["lambda"][-1] * (1 + 1e-6)
         assert eigen["below_sigma"] >= len(row["lambda"])
-    # d = 2 counts its 2 phases, d = 4 its 3.
-    assert [row["eigen"]["factorizations"] for row in doc["rows"]] == [2, 3]
+    # Each row counts all its phases through one seam Schur complement,
+    # so it runs one sparse inertia factorization.
+    assert [row["eigen"]["factorizations"] for row in doc["rows"]] == [1, 1]
     # d = 2 solves the phases 0 and 1/2; d = 4 adds only 1/4.
     assert [row["eigen"]["characters"] for row in doc["rows"]] == [2, 1]
 
@@ -273,6 +275,25 @@ def test_sweep_failed_phase_fails_only_its_row(tmp_path, monkeypatch):
     assert "character k=1 of degree 4: injected failure" in doc["rows"][1]["error"]
 
 
+def test_sweep_records_seam_schur_failure(tmp_path, monkeypatch):
+    real = eigen_module.splu
+
+    def splu(A, **kwargs):
+        if "options" in kwargs:
+            raise RuntimeError("Factor is exactly singular")
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(eigen_module, "splu", splu)
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out)] + TINY) == 1
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [row["failed"] for row in doc["rows"]] == [True, True]
+    for row in doc["rows"]:
+        assert re.search(rf"seam Schur complement of degree {row['d']} at sigma=\S+: "
+                         r".*Factor is exactly singular", row["error"])
+    assert doc["asserted"]["all_rows_succeeded"] is False
+
+
 def test_sweep_missed_eigenvalue_fails_only_its_row(tmp_path, paired_phases_miss_lowest):
     # Only d = 4 has a complex (paired) phase, 1/4, and Lanczos misses
     # its lowest eigenvalue; the inertia count catches it.
@@ -304,13 +325,11 @@ def test_sweep_row_independent_of_earlier_rows(family_doc, tmp_path):
     assert row["certificate"] == alone["certificate"]
     # alone, the row solves its phases k/48 with k <= 2 (0, 1/48 and
     # 1/24) and no other phase has an eigenvalue below sigma; in the
-    # family, the d = 24 row already solved 0 and 1/24.  Alone, every one
-    # of its 25 phases is counted; in the family, the 10 that had no
-    # eigenvalue below the d = 24 row's larger sigma are skipped.
+    # family, the d = 24 row already solved 0 and 1/24.  Either way one
+    # factorization, the seam Schur complement's, counts all 25 phases.
     assert alone["eigen"]["characters"] == 3
     assert row["eigen"]["characters"] == 1
-    assert alone["eigen"]["factorizations"] == 25
-    assert row["eigen"]["factorizations"] == 15
+    assert alone["eigen"]["factorizations"] == row["eigen"]["factorizations"] == 1
     assert row["eigen"]["sigma"] == alone["eigen"]["sigma"]
     assert row["eigen"]["below_sigma"] == alone["eigen"]["below_sigma"]
 

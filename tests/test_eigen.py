@@ -1,9 +1,9 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh
 from scipy.sparse import block_diag, csr_matrix, eye
 
 from hypspectra import eigen
@@ -11,6 +11,7 @@ from hypspectra.cover import cut_along, cyclic_cover
 from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, CharacterSolver, EigensolverError,
                               dense_oracle, residuals, solve_smallest)
 from hypspectra.fem import SparsePencil, assemble, prolongation
+from oracles import dense_character_values
 
 
 def pencil_from_dense(K, B):
@@ -364,16 +365,15 @@ def test_each_phase_solved_once(small_cover):
     solver = character_solver(cut, assemble(cut), count=4)
     # Lanczos runs on the phases k/d with k <= count//2, in lowest terms,
     # that no earlier degree solved: 0 and 1/3 at d = 3, 1/6 at d = 6 and
-    # 1/12 at d = 12.  No other phase has an eigenvalue below sigma.  Each
-    # of the d//2 + 1 phases is factorized unless it had none below a
-    # sigma at least as large: 1/2 is skipped at d = 12, and a second
-    # visit factorizes only the phases with a positive count.
+    # 1/12 at d = 12.  No other phase has an eigenvalue below sigma.  The
+    # seam Schur complement counts all d//2 + 1 phases of a degree from
+    # one factorization of the interior block, on every visit.
     rows = [solver.spectrum(d) for d in (3, 6, 12, 6, 3)]
     assert [r.solved for r in rows] == [2, 1, 1, 0, 0]
-    assert [r.factorizations for r in rows] == [2, 4, 6, 3, 2]
+    assert [r.factorizations for r in rows] == [1, 1, 1, 1, 1]
     again = solver.spectrum(12)
     assert again.solved == again.iterations == 0
-    assert again.factorizations == 3
+    assert again.factorizations == 1
 
 
 def test_phase_spectra_independent_of_earlier_degrees(small_cover):
@@ -391,57 +391,156 @@ def test_phase_spectra_independent_of_earlier_degrees(small_cover):
 
 # -- inertia counts and the slicing certificate -----------------------------------
 
+def lowest_terms_phases(max_degree):
+    """Every phase k/d with k <= d/2 and d <= max_degree, in lowest terms."""
+    return sorted({(k // math.gcd(k, d), d // math.gcd(k, d))
+                   for d in range(1, max_degree + 1) for k in range(d // 2 + 1)})
+
+
+def assert_counts_match_dense(solver, phases, shifts, values):
+    """Each shift's counts equal the dense counts, for a shift clear of every eigenvalue."""
+    for sigma in shifts:
+        gap = min(np.abs(v - sigma).min() for v in values)
+        assert gap > 1e-9 * abs(sigma), "a test shift sits on an eigenvalue"
+        expected = [np.count_nonzero(v < sigma) for v in values]
+        assert solver._counts(phases, sigma).tolist() == expected, sigma
+
+
 def test_count_below_matches_dense_on_random_pencils():
+    # A random cut pencil over V + s cut vertices: the last s are the
+    # seam, glued to base vertices 0..s-1, which are also cut vertices.
     rng = np.random.default_rng(7)
-    for size in (5, 17, 40):
-        G = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        E = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        K = G.conj().T @ G
-        B = np.eye(size) + E.conj().T @ E / size
-        values = eigvalsh(K, B)
-        # between neighbours and outside both ends, so no shift is near a root
-        shifts = np.r_[values[0] - 1.0, 0.5 * (values[1:] + values[:-1]), values[-1] + 1.0]
-        for sigma in shifts:
-            assert (eigen._count_below(csr_matrix(K), csr_matrix(B), sigma)
-                    == np.count_nonzero(values < sigma))
+    for V, s in ((6, 2), (17, 5), (40, 9)):
+        size = V + s
+        G = rng.standard_normal((size, size))
+        E = rng.standard_normal((size, size))
+        pencil = pencil_from_dense(G.T @ G, np.eye(size) + E.T @ E / size)
+        base_vertex = np.r_[np.arange(V), np.arange(s)]
+        solver = CharacterSolver(pencil, base_vertex, np.arange(V, size),
+                                 count=2, tol=1e-9, seed=0)
+        phases = [(0, 1), (1, 2), (1, 3), (1, 8), (3, 7)]
+        values = [dense_character_values(solver, phase) for phase in phases]
+        for v in values:
+            # between neighbours and outside both ends, so no shift is near a root
+            shifts = np.r_[v[0] - 1.0, 0.5 * (v[1:] + v[:-1]), v[-1] + 1.0]
+            assert_counts_match_dense(solver, phases, shifts, values)
 
 
 @pytest.mark.parametrize("mass", ["consistent", "lumped"])
-def test_count_below_matches_dense_on_character_pencils(base_r0, mass):
-    surface, gamma = base_r0
-    cut = cut_along(surface, gamma)
-    solver = character_solver(cut, assemble(cut, mass=mass), count=4)
-    for phase in [(0, 1), (1, 2), (1, 3), (1, 8)]:
-        K, B = solver._pencil(phase)
-        values = eigvalsh(K.toarray(), B.toarray())
-        lowest = values[:5]
-        if phase == (0, 1):
-            # the base's double eigenvalue and the kernel
-            assert lowest[3] - lowest[2] <= 1e-12 * lowest[3]
-            assert abs(lowest[0]) <= 1e-12 * lowest[4]
+def test_count_below_matches_dense_on_character_pencils(base_levels, mass):
+    # Every phase of every degree up to 64, at refinements 0 and 1, with
+    # shifts just below and above each of the five lowest eigenvalues of
+    # phase 0: the kernel, the base's double eigenvalue and its neighbours.
+    phases = lowest_terms_phases(64)
+    for surface, gamma in base_levels[:2]:
+        cut = cut_along(surface, gamma)
+        solver = character_solver(cut, assemble(cut, mass=mass), count=4)
+        values = [dense_character_values(solver, phase) for phase in phases]
+        lowest = values[0][:5]
+        assert lowest[3] - lowest[2] <= 1e-12 * lowest[3]
+        assert abs(lowest[0]) <= 1e-12 * lowest[4]
         delta = 1e-6 * lowest[4]
-        for i, value in enumerate(lowest):
-            below = int(np.count_nonzero(values < value - delta))
-            above = int(np.count_nonzero(values < value + delta))
-            assert eigen._count_below(K, B, value - delta) == below
-            assert eigen._count_below(K, B, value + delta) == above
-            assert above - below == (2 if phase == (0, 1) and i in (2, 3) else 1)
+        assert_counts_match_dense(solver, phases, np.r_[lowest - delta, lowest + delta],
+                                  values)
 
 
-def test_inertia_factorization_off_the_diagonal_names_the_phase(small_cover, monkeypatch):
+def test_count_below_matches_dense_on_refinement_two(base_levels):
+    # A sample of refinement-2 phases, where the seam has 32 vertices.
+    surface, gamma = base_levels[2]
+    cut = cut_along(surface, gamma)
+    solver = character_solver(cut, assemble(cut), count=4)
+    phases = [(0, 1), (1, 2), (7, 48), (1, 1536)]
+    values = [dense_character_values(solver, phase) for phase in phases]
+    lowest = np.sort(np.concatenate([v[:4] for v in values]))
+    # between distinct neighbours, and above them all
+    apart = np.diff(lowest) > 1e-6 * lowest[1:]
+    shifts = np.r_[0.5 * (lowest[1:] + lowest[:-1])[apart], lowest[-1] * 1.01]
+    assert_counts_match_dense(solver, phases, shifts, values)
+
+
+def test_one_inertia_factorization_per_spectrum(base_levels, monkeypatch):
+    real = eigen.splu
+    calls = {"inertia": 0, "all": 0}
+
+    def splu(A, **kwargs):
+        calls["all"] += 1
+        calls["inertia"] += "options" in kwargs
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(eigen, "splu", splu)
+    surface, gamma = base_levels[2]
+    cut = cut_along(surface, gamma)
+    solver = character_solver(cut, assemble(cut), count=4)
+    for d in (48, 3072):
+        calls.update(inertia=0, all=0)
+        result = solver.spectrum(d)
+        # one LDL^T of the interior block counts all d//2 + 1 phases; every
+        # other factorization is a Lanczos solve of a phase with a count
+        assert calls["inertia"] == result.factorizations == 1
+        assert calls["all"] == 1 + result.solved
+        phases = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k in range(1 + d // 2)]
+        below = sum((2 if q > 2 else 1) * np.count_nonzero(
+                        dense_character_values(solver, (p, q)) < result.sigma)
+                    for p, q in phases if (p, q) in solver._phases)
+        assert result.below_sigma == below
+
+
+def test_inertia_factorization_off_the_diagonal_names_the_seam(small_cover, monkeypatch):
     real = eigen.splu
 
     def splu(A, **kwargs):
         lu = real(A, **kwargs)
-        if "options" in kwargs and np.iscomplexobj(A.data):
+        if "options" in kwargs:
             return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
         return lu
 
     monkeypatch.setattr(eigen, "splu", splu)
     cut = small_cover.cut
     with pytest.raises(EigensolverError,
-                       match=r"character k=1 of degree 3: .*perm_r != perm_c"):
+                       match=r"seam Schur complement of degree 3 at sigma=\S+: "
+                             r".*perm_r != perm_c"):
         character_solver(cut, assemble(cut), count=4).spectrum(3)
+
+
+@pytest.mark.parametrize("broken, why", [
+    ("raises", "LDL^T of the interior block A_II broke down: Factor is exactly singular"),
+    ("zero pivot", "the interior block A_II is singular"),
+])
+def test_singular_interior_block_names_the_seam(small_cover, monkeypatch, broken, why):
+    real = eigen.splu
+
+    def splu(A, **kwargs):
+        if "options" not in kwargs:
+            return real(A, **kwargs)
+        if broken == "raises":
+            raise RuntimeError("Factor is exactly singular")
+        lu = real(A, **kwargs)
+        U = lu.U.tocsr(copy=True)
+        U[3, 3] = 0.0
+        return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=U, solve=lu.solve)
+
+    monkeypatch.setattr(eigen, "splu", splu)
+    cut = small_cover.cut
+    with pytest.raises(EigensolverError,
+                       match=r"seam Schur complement of degree 6 at sigma=\S+: "
+                             + re.escape(why)):
+        character_solver(cut, assemble(cut), count=4).spectrum(6)
+
+
+def test_phase_dependent_interior_entry_fails_by_name(small_cover, monkeypatch):
+    # The Schur complement needs the phase parts p = 1 and 2 to stay on
+    # the seam's columns and rows; a part p = 1 reaching the interior
+    # block must stop the solver before it counts anything.
+    real = eigen._phase_parts
+
+    def phase_parts(*args):
+        indptr, indices, kparts, bparts = real(*args)
+        return indptr, indices, kparts[[0, 0, 2]], bparts
+
+    monkeypatch.setattr(eigen, "_phase_parts", phase_parts)
+    cut = small_cover.cut
+    with pytest.raises(EigensolverError, match="seam Schur complement: a phase-dependent"):
+        character_solver(cut, assemble(cut), count=4)
 
 
 def test_missed_eigenvalue_fails_by_name(small_cover, paired_phases_miss_lowest):
