@@ -274,9 +274,7 @@ class BoundReport:
     h: float
     eta: float
     t: float
-    c_eta: float
     bound: float
-    rayleigh_quotients: list
     certificate: float
     lambda_n: float
     scale: float
@@ -313,8 +311,7 @@ def bound_report(cut: CutSurface, pencil, spectrum, n: int, N: int,
     base_area = float(triangle_areas(cut.lengths).sum())
     h = (n + 1) * l / (N * base_area)
     eta, t = collar.eta, collar.t
-    c_eta = 2.0 / eta
-    bound = c_eta * (h + h * h)
+    bound = 2.0 / eta * (h + h * h)
 
     lam = float(spectrum.values[n])
     scale = pencil.stiffness.diagonal().sum() / (cut.num_vertices - len(cut.right_vertices))
@@ -329,9 +326,7 @@ def bound_report(cut: CutSurface, pencil, spectrum, n: int, N: int,
         h=h,
         eta=eta,
         t=t,
-        c_eta=c_eta,
         bound=bound,
-        rayleigh_quotients=[quotient] * (n + 1),
         certificate=quotient,
         lambda_n=lam,
         scale=float(scale),

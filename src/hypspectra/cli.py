@@ -380,7 +380,8 @@ def cmd_converge(config: RunConfig) -> int:
                      "lambda": [float(v) for v in spectrum.values],
                      "eigen": {"operator_applies": spectrum.iterations,
                                "max_residual": float(spectrum.residuals.max()),
-                               "shift": spectrum.shift},
+                               "shift": spectrum.shift, "ncv": spectrum.ncv,
+                               "lu_fill": spectrum.lu_fill},
                      "config_hash": chash})
 
     ratios = {}

@@ -9,7 +9,9 @@ bitwise equality.
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvalsh
+
+from hypspectra.eigen import dense_oracle
+from hypspectra.fem import SparsePencil
 
 FROZEN = {
     # equilateral triangle, all sides 1
@@ -65,19 +67,12 @@ def canonical_csr_lexsort(rows, cols, vals, n) -> sparse.csr_matrix:
     return mat
 
 
-def dense_character_values(solver, phase) -> np.ndarray:
-    """Every eigenvalue of one character pencil of a CharacterSolver, dense, ascending.
+def dense_character_values(solver, phase, count=None) -> np.ndarray:
+    """The `count` smallest eigenvalues of one character pencil, dense, ascending.
 
-    The reference for the solver's inertia counts: it shares no
-    factorization with them, only the assembly of the pencil.  It solves
-    the shift-inverted pencil B x = mu (K - tau B) x, with K - tau B
-    positive definite for tau < 0, and returns tau + 1/mu.  The
-    eigenvalues near 0 then come out with absolute error about
-    eps |tau| instead of eps |K| / lambda_min(B): at refinement 2 and
-    degree 3072 the plain dense solve misplaces the lowest eigenvalue of
-    phase 1/1536 (about 1e-6) by more than the slicing margin 1e-6.
-    LAPACK's expert routine (gvx) is the fastest here, by a third at 262 dof.
+    All of them by default.  The reference for a CharacterSolver's
+    inertia counts: `dense_oracle` shares no factorization with them,
+    only the assembly of the pencil.
     """
-    K, B = (M.toarray() for M in solver._pencil(phase))
-    tau = -1e-2 * K.diagonal().real.mean()
-    return np.sort(tau + 1.0 / eigvalsh(B, K - tau * B, driver="gvx"))
+    K, B = solver._pencil(phase)
+    return dense_oracle(SparsePencil(stiffness=K, mass=B), count=count or solver.dof).values

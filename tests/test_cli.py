@@ -410,11 +410,14 @@ def test_converge_outputs(converge_dir):
     assert len(doc["ratio_flags"]) == 4      # one interior triple per k
     for row in doc["rows"]:
         eig = row["eigen"]
-        assert set(eig) == {"operator_applies", "max_residual", "shift"}
+        assert set(eig) == {"operator_applies", "max_residual", "shift", "ncv", "lu_fill"}
         assert eig["max_residual"] <= 1e-9
         assert eig["shift"] < 0
-        # levels above 0 start from the level below: one Lanczos pass, no restart
-        assert row["level"] == 0 or eig["operator_applies"] <= 42
+        assert eig["lu_fill"] > row["dof"]
+        # levels above 0 start from the level below, with the lean warm
+        # basis: 16 Krylov vectors and about 25 applies, against 41 cold
+        assert eig["ncv"] == (40 if row["level"] == 0 else 16)
+        assert row["level"] == 0 or eig["operator_applies"] <= 26
 
 
 def test_converge_rerun_is_byte_identical(tmp_path):
@@ -423,9 +426,10 @@ def test_converge_rerun_is_byte_identical(tmp_path):
         assert main(["converge", "--out", str(out), "--refine", "3", "--seed", "3"]) == 0
     a, b = ((out / "converge.csv").read_bytes() for out in outs)
     assert a == b
+    rows, again = (json.loads((out / "converge.json").read_text())["rows"] for out in outs)
+    assert rows == again                        # the eigen blocks included
     # a cold start needs 68 operator applies at level 3 with this seed
-    rows = json.loads((outs[0] / "converge.json").read_text())["rows"]
-    assert all(row["eigen"]["operator_applies"] <= 42 for row in rows)
+    assert all(row["level"] == 0 or row["eigen"]["operator_applies"] <= 26 for row in rows)
 
 
 # -- oracle-check --------------------------------------------------------------------

@@ -203,8 +203,10 @@ def test_warm_start_matches_cold_solve(warm_chains):
             scale = pencils[level].stiffness.diagonal().sum() / pencils[level].dof
             assert abs(a[0]) <= 1e-8 * scale                  # the constant mode
             assert warm[level].residuals.max() <= 1e-9
-            # one Lanczos pass; cold starts need 68 applies at level 3 for seeds 0, 2, 3
-            assert warm[level].iterations <= 42
+            # the lean warm basis: about 25 applies, where the roomy cold
+            # basis spends 41 on its first pass and 68 at level 3 for seeds 0, 2, 3
+            assert warm[level].iterations <= 26
+            assert warm[level].ncv == 16
     oracle = dense_oracle(pencils[1], count=5).values
     for _, warm in chains.values():
         assert np.all(np.abs(warm[1].values[1:] - oracle[1:]) <= 1e-10 * oracle[1:])
@@ -219,6 +221,23 @@ def test_warm_start_keeps_the_symmetry_double(warm_chains):
             lam = result.values
             assert abs(lam[2] - lam[3]) <= 1e-9 * lam[2]
             assert lam[4] - lam[3] > 0.1 * lam[3]
+
+
+@pytest.mark.parametrize("dropped", [3, 4])
+def test_warm_start_without_one_wanted_vector(base_levels, warm_chains, dropped):
+    # A start block that lacks one wanted eigenvector, one copy of the
+    # double lambda_2 = lambda_3 or lambda_4, still leads the lean warm
+    # basis to the cold solve's values.
+    pencils, chains = warm_chains
+    for seed, (cold, warm) in chains.items():
+        for level in range(1, len(pencils)):
+            block = np.delete(warm[level - 1].vectors, dropped, axis=1)
+            start = prolongation(base_levels[level - 1][0]) @ block
+            result = solve_smallest(pencils[level], count=5, tol=1e-9, seed=seed,
+                                    start=start)
+            a, b = result.values, cold[level].values
+            assert np.all(np.abs(a[1:] - b[1:]) <= 1e-10 * b[1:]), (seed, level)
+            assert result.residuals.max() <= 1e-9
 
 
 def test_warm_start_is_seeded():
@@ -247,6 +266,25 @@ def test_count_bounds():
         solve_smallest(pencil, count=0)
     with pytest.raises(EigensolverError):
         solve_smallest(pencil, count=4)
+
+
+def test_dense_oracle_keeps_small_eigenvalues_relatively_accurate(base_levels):
+    # Phase 1/1536 at refinement 2 has lambda_1 near 1e-6, far below the
+    # scale of K.  A dense solve of (K, B) itself put it 5.7e-7 (relative)
+    # away from Lanczos.  The float64 pencil fixes lambda_1 only to about
+    # 1e-14 absolute: both solvers move it by up to 5e-8 relative as
+    # their shifts range over -1e-1..-1e-7, so 1e-7 is the floor here.
+    surface, gamma = base_levels[2]
+    cut = cut_along(surface, gamma)
+    K, B = character_solver(cut, assemble(cut), count=4)._pencil((1, 1536))
+    pencil = SparsePencil(stiffness=K, mass=B)
+    sparse_result = solve_smallest(pencil, count=4, tol=1e-12, seed=0)
+    dense_result = dense_oracle(pencil, count=4)
+    assert dense_result.values[0] < 1e-5
+    rel = np.abs(dense_result.values - sparse_result.values) / sparse_result.values
+    assert rel[0] <= 1e-7 and rel[1:].max() <= 1e-10
+    gram = dense_result.vectors.conj().T @ (B @ dense_result.vectors)
+    assert np.abs(gram - np.eye(4)).max() <= 1e-10
 
 
 def test_dense_oracle_rejects_indefinite_mass():
@@ -398,7 +436,13 @@ def lowest_terms_phases(max_degree):
 
 
 def assert_counts_match_dense(solver, phases, shifts, values):
-    """Each shift's counts equal the dense counts, for a shift clear of every eigenvalue."""
+    """Each shift's counts equal the dense counts, for a shift clear of every eigenvalue.
+
+    values[i] holds the smallest eigenvalues of phases[i]: all of them, or
+    enough that the last lies above every shift.
+    """
+    for v in values:
+        assert len(v) == solver.dof or v[-1] > max(shifts)
     for sigma in shifts:
         gap = min(np.abs(v - sigma).min() for v in values)
         assert gap > 1e-9 * abs(sigma), "a test shift sits on an eigenvalue"
@@ -435,7 +479,7 @@ def test_count_below_matches_dense_on_character_pencils(base_levels, mass):
     for surface, gamma in base_levels[:2]:
         cut = cut_along(surface, gamma)
         solver = character_solver(cut, assemble(cut, mass=mass), count=4)
-        values = [dense_character_values(solver, phase) for phase in phases]
+        values = [dense_character_values(solver, phase, count=8) for phase in phases]
         lowest = values[0][:5]
         assert lowest[3] - lowest[2] <= 1e-12 * lowest[3]
         assert abs(lowest[0]) <= 1e-12 * lowest[4]
@@ -450,7 +494,7 @@ def test_count_below_matches_dense_on_refinement_two(base_levels):
     cut = cut_along(surface, gamma)
     solver = character_solver(cut, assemble(cut), count=4)
     phases = [(0, 1), (1, 2), (7, 48), (1, 1536)]
-    values = [dense_character_values(solver, phase) for phase in phases]
+    values = [dense_character_values(solver, phase, count=8) for phase in phases]
     lowest = np.sort(np.concatenate([v[:4] for v in values]))
     # between distinct neighbours, and above them all
     apart = np.diff(lowest) > 1e-6 * lowest[1:]
@@ -479,9 +523,11 @@ def test_one_inertia_factorization_per_spectrum(base_levels, monkeypatch):
         assert calls["inertia"] == result.factorizations == 1
         assert calls["all"] == 1 + result.solved
         phases = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k in range(1 + d // 2)]
-        below = sum((2 if q > 2 else 1) * np.count_nonzero(
-                        dense_character_values(solver, (p, q)) < result.sigma)
-                    for p, q in phases if (p, q) in solver._phases)
+        solved = [phase for phase in phases if phase in solver._phases]
+        dense = [dense_character_values(solver, phase, count=8) for phase in solved]
+        assert all(v[-1] > result.sigma for v in dense)
+        below = sum((2 if q > 2 else 1) * np.count_nonzero(v < result.sigma)
+                    for (_, q), v in zip(solved, dense))
         assert result.below_sigma == below
 
 
