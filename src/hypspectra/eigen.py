@@ -155,7 +155,7 @@ def residuals(K, B, values, vectors) -> np.ndarray:
 
 
 def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
-                   maxiter=None, start=None) -> SpectrumResult:
+                   start=None) -> SpectrumResult:
     """Compute the `count` smallest eigenpairs of the pencil.
 
     Shift-invert Lanczos around a small negative shift (the spectrum is
@@ -186,11 +186,11 @@ def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
     if count > n:
         raise EigensolverError(f"asked for {count} eigenvalues of a {n}-dof problem")
     basis = ROOMY_BASIS if start is None else WARM_BASIS
-    return _shift_invert(K, B, count, basis, tol, seed, maxiter, start)
+    return _shift_invert(K, B, count, basis, tol, seed, start)
 
 
 def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
-                  maxiter, start=None) -> SpectrumResult:
+                  start=None) -> SpectrumResult:
     n = K.shape[0]
     if start is not None:
         start = np.asarray(start)
@@ -231,11 +231,11 @@ def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
     ncv = min(n, max(per_pair * k_solve + 1, least))
     try:
         values, vectors = eigsh(K, k=k_solve, M=B, sigma=sigma, OPinv=opinv,
-                                v0=v0, ncv=ncv, tol=tol, maxiter=maxiter)
+                                v0=v0, ncv=ncv, tol=tol)
     except ArpackNoConvergence as e:
         raise EigensolverError(
-            f"Lanczos did not converge within {maxiter or 'default'} iterations: "
-            f"{len(e.eigenvalues)} of {k_solve} pairs converged") from e
+            f"Lanczos did not converge: {len(e.eigenvalues)} of {k_solve} "
+            "pairs converged") from e
     order = np.argsort(values)[:count]
     values, vectors = values[order], vectors[:, order]
     res = residuals(K, B, values, vectors)
@@ -502,7 +502,7 @@ class CharacterSolver:
         paired = phase[1] > 2
         K, B = self._pencil(phase)
         want = min(-(-self.count // 2) if paired else self.count, self.dof)
-        result = _shift_invert(K, B, want, CHARACTER_BASIS, self.tol, self.seed, None)
+        result = _shift_invert(K, B, want, CHARACTER_BASIS, self.tol, self.seed)
         copies = 2 if paired else 1
         return (np.repeat(result.values, copies), np.repeat(result.residuals, copies),
                 result.iterations)

@@ -183,18 +183,14 @@ def element_stiffness(lengths) -> np.ndarray:
     return elem
 
 
-def element_mass(lengths, lumped: bool = False) -> np.ndarray:
-    """Per-face 3x3 mass using the hyperbolic triangle area."""
+def element_mass(lengths) -> np.ndarray:
+    """Per-face 3x3 consistent mass using the hyperbolic triangle area."""
     L = np.asarray(lengths, dtype=float)
     T = hypgeom.triangle_areas(L)
     elem = np.zeros(L.shape[:-1] + (3, 3))
-    if lumped:
-        for i in range(3):
-            elem[..., i, i] = T / 3.0
-    else:
-        for i in range(3):
-            for j in range(3):
-                elem[..., i, j] = T / (6.0 if i == j else 12.0)
+    for i in range(3):
+        for j in range(3):
+            elem[..., i, j] = T / (6.0 if i == j else 12.0)
     return elem
 
 

@@ -16,6 +16,10 @@ seams, and each hexagon is triangulated by a fan from an interior
 centroid point, which makes every cone angle exactly 2*pi: fan angles
 close up at the centroid, boundary subdivision points see a straight
 angle from each side, and hexagon corners contribute four right angles.
+Orientation and vertex identification hold by construction: the second
+hexagon of each pants is the mirror image of the first, so its triangles
+are listed in reverse, and the surface's vertices are the connected
+components of the seam and cuff identifications.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ LENGTH_PAIR_TOL = 1e-10
 CONE_ANGLE_TOL = 1e-8
 AREA_TOL = 1e-8
 CURVE_LENGTH_TOL = 1e-9
-
-GENUS2_TWO_PANTS = "genus2-two-pants"
 
 __all__ = [
     "CurveError",
@@ -60,23 +62,6 @@ class CurveError(ValueError):
     """A curve is malformed or unsuitable for the requested operation."""
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 class TriangulatedSurface:
     """Closed oriented triangulated surface with hyperbolic edge lengths.
 
@@ -91,9 +76,11 @@ class TriangulatedSurface:
         face f'.  Must be a fixed-point-free involution covering every
         side, with equal lengths and opposite directed edges on paired
         sides.
+
+    The constructor runs `validate`, so every instance is a valid mesh.
     """
 
-    def __init__(self, faces, lengths, glue, validate: bool = True):
+    def __init__(self, faces, lengths, glue):
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         self.lengths = np.ascontiguousarray(lengths, dtype=np.float64)
         self.glue = np.ascontiguousarray(glue, dtype=np.int64)
@@ -109,8 +96,7 @@ class TriangulatedSurface:
         self._areas = None
         self._directed = None
         self._vertex_graph = None
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- derived quantities -------------------------------------------------
 
@@ -155,8 +141,10 @@ class TriangulatedSurface:
         if used[0] != 0 or used[-1] != self.num_vertices - 1 or len(used) != self.num_vertices:
             raise MeshError("vertex ids must be contiguous 0..V-1")
         gf, gs = glue[..., 0], glue[..., 1]
-        if gf.min() < 0 or gf.max() >= F or gs.min() < 0 or gs.max() > 2:
-            raise MeshError("gluing refers to a side that does not exist")
+        missing = (gf < 0) | (gf >= F) | (gs < 0) | (gs > 2)
+        if missing.any():
+            f, s = np.argwhere(missing)[0]
+            raise MeshError(f"side {s} of face {f} is not glued to an existing side")
         fgrid = np.broadcast_to(np.arange(F)[:, None], (F, 3))
         sgrid = np.broadcast_to(np.arange(3)[None, :], (F, 3))
         if np.any((gf == fgrid) & (gs == sgrid)):
@@ -297,58 +285,6 @@ def curve_from_vertex_cycle(surface: TriangulatedSurface, vertices) -> MeshCurve
     return MeshCurve(tuple(verts), tuple(edges), length, separating=bool(ncomp == 2))
 
 
-# -- orientation ------------------------------------------------------------
-
-
-def _orient(faces: np.ndarray, lengths: np.ndarray, glue_dict: dict, num_faces: int):
-    """Flip faces to a coherent orientation; returns (faces, lengths, glue array).
-
-    glue_dict maps (f, s) -> (f', s') both ways.  Raises MeshError if the
-    complex is non-orientable or a side is unglued.
-    """
-    flip = np.zeros(num_faces, dtype=bool)
-    seen = np.zeros(num_faces, dtype=bool)
-    for start in range(num_faces):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for s in range(3):
-                if (f, s) not in glue_dict:
-                    raise MeshError(f"side {s} of face {f} is unglued")
-                g, r = glue_dict[(f, s)]
-                mine = (faces[f, (s + 1) % 3], faces[f, (s + 2) % 3])
-                theirs = (faces[g, (r + 1) % 3], faces[g, (r + 2) % 3])
-                if mine == (theirs[1], theirs[0]):
-                    same = True       # reversed directed edges: same flip state
-                elif mine == theirs:
-                    same = False      # identical directed edges: opposite flip state
-                else:
-                    raise MeshError(f"gluing of face {f} side {s} does not match vertex ids")
-                want = flip[f] if same else not flip[f]
-                if seen[g]:
-                    if flip[g] != want:
-                        raise MeshError("surface is non-orientable")
-                else:
-                    flip[g] = want
-                    seen[g] = True
-                    stack.append(g)
-    perm = {0: 0, 1: 2, 2: 1}
-    faces = faces.copy()
-    lengths = lengths.copy()
-    for f in np.flatnonzero(flip):
-        faces[f] = faces[f][[0, 2, 1]]
-        lengths[f] = lengths[f][[0, 2, 1]]
-    glue = np.empty((num_faces, 3, 2), dtype=np.int64)
-    for (f, s), (g, r) in glue_dict.items():
-        ns = perm[s] if flip[f] else s
-        nr = perm[r] if flip[g] else r
-        glue[f, ns] = (g, nr)
-    return faces, lengths, glue
-
-
 # -- Fenchel-Nielsen builder -------------------------------------------------
 
 
@@ -366,11 +302,8 @@ class FenchelNielsenSpec:
     cuff_lengths: tuple
     twists: tuple = (0, 0, 0)
     segments: int = 8
-    pants_graph: str = GENUS2_TWO_PANTS
 
     def __post_init__(self):
-        if self.pants_graph != GENUS2_TWO_PANTS:
-            raise MeshError(f"unsupported pants graph {self.pants_graph!r}")
         if len(self.cuff_lengths) != 3 or any(l <= 0 or not math.isfinite(l)
                                               for l in self.cuff_lengths):
             raise MeshError("need three positive finite cuff lengths")
@@ -437,9 +370,6 @@ class _HexagonFan:
             sin_far = math.sqrt(v_far * (2.0 - v_far))
             r, versin = r_far, (1.0 - v_far) ** 2 / (1.0 + sin_far)
 
-    def boundary_side_of_edge(self, j: int) -> int:
-        return int(np.searchsorted(self.offsets, j, side="right") - 1)
-
 
 def build_surface(spec: FenchelNielsenSpec):
     """Build the genus-2 surface and its designated cuff curve.
@@ -453,84 +383,77 @@ def build_surface(spec: FenchelNielsenSpec):
     hexfan = _HexagonFan(l1, l2, l3, m)
     B = hexfan.boundary_count
 
-    nv_hex = B + 1          # boundary vertices + centroid
-    nf_hex = B
+    # Hexagon t = 2p, 2p+1 of pants p owns faces t*B + j and vertices
+    # t*(B+1) + j: boundary point j < B, and the centroid at j = B.  `vid`
+    # and `fid` take a boundary index j modulo B.
+    def vid(t, j):
+        return t * (B + 1) + j % B
 
-    def bvid(t: int, j: int) -> int:
-        return t * nv_hex + (j % B)
+    def fid(t, j):
+        return t * B + j % B
 
-    def cvid(t: int) -> int:
-        return t * nv_hex + B
-
-    def svid(t: int, q: int, i: int) -> int:
-        return bvid(t, int(hexfan.offsets[q]) + i)
-
-    def fid(t: int, j: int) -> int:
-        return t * nf_hex + (j % B)
-
-    def side_face(t: int, q: int, i: int):
-        return (fid(t, int(hexfan.offsets[q]) + i), 0)
-
-    num_faces = 4 * nf_hex
+    num_faces = 4 * B
     faces = np.empty((num_faces, 3), dtype=np.int64)
     lengths = np.empty((num_faces, 3), dtype=np.float64)
-    glue_dict = {}
+    glue = np.full((num_faces, 3, 2), -1, dtype=np.int64)
 
-    def glue_pair(a, b):
-        glue_dict[a] = b
-        glue_dict[b] = a
+    def glue_pair(f, s, g, r):
+        glue[f, s, 0], glue[f, s, 1] = g, r
+        glue[g, r, 0], glue[g, r, 1] = f, s
 
+    j = np.arange(B)
+    q = np.searchsorted(hexfan.offsets, j, side="right") - 1
+    fan = np.stack([np.full(B, B), j, (j + 1) % B], axis=1)
+    fan_lengths = np.stack([hexfan.spacing[q], hexfan.spokes[(j + 1) % B], hexfan.spokes[j]],
+                           axis=1)
+    # Hexagon 2p+1 is the mirror image of hexagon 2p, so its triangles are
+    # listed the other way round (corners 1 and 2 trade places, with their
+    # opposite sides); then every pants is coherently oriented as built.
     for t in range(4):
-        for j in range(B):
-            f = fid(t, j)
-            faces[f] = (cvid(t), bvid(t, j), bvid(t, j + 1))
-            q = hexfan.boundary_side_of_edge(j)
-            lengths[f] = (hexfan.spacing[q], hexfan.spokes[(j + 1) % B], hexfan.spokes[j])
-            glue_pair((f, 1), (fid(t, j + 1), 2))
+        order = [0, 1, 2] if t % 2 == 0 else [0, 2, 1]
+        faces[fid(t, j)] = t * (B + 1) + fan[:, order]
+        lengths[fid(t, j)] = fan_lengths[:, order]
+        glue_pair(fid(t, j), order[1], fid(t, j + 1), order[2])
 
-    uf = _UnionFind(4 * nv_hex)
+    same = []    # (hexagon vertex, hexagon vertex) pairs that are one surface vertex
 
     # Seams: within each pants, hexagons 2p and 2p+1 join along sides 1, 3, 5,
     # matching subdivision points index-for-index from the shared corner.
     for p in range(2):
         a, b = 2 * p, 2 * p + 1
         for q in (1, 3, 5):
-            cnt = hexfan.counts[q]
-            for i in range(cnt + 1):
-                uf.union(svid(a, q, i), svid(b, q, i))
-            for i in range(cnt):
-                glue_pair(side_face(a, q, i), side_face(b, q, i))
+            i = hexfan.offsets[q] + np.arange(hexfan.counts[q] + 1)
+            same.append((vid(a, i), vid(b, i)))
+            glue_pair(fid(a, i[:-1]), 0, fid(b, i[:-1]), 0)
 
     def cuff_circle(p: int, q: int):
         a, b = 2 * p, 2 * p + 1
-        verts = [svid(a, q, i) for i in range(m2)]
-        verts.append(svid(a, q, m2))
-        verts.extend(svid(b, q, i) for i in range(m2 - 1, 0, -1))
-        edges = [side_face(a, q, i) for i in range(m2)]
-        edges.extend(side_face(b, q, i) for i in range(m2 - 1, -1, -1))
-        return verts, edges
+        i = hexfan.offsets[q] + np.arange(m2 + 1)
+        verts = np.concatenate([vid(a, i), vid(b, i[-2:0:-1])])
+        edge_faces = np.concatenate([fid(a, i[:-1]), fid(b, i[-2::-1])])
+        return verts, edge_faces
 
     # Cuffs: pants 0 circle glued to the reversed pants 1 circle, shifted by
     # the integer twist.  Reversal keeps the closed surface orientable.
-    gamma_cycle = None
+    k = np.arange(m)
     for ci, q in enumerate((0, 2, 4)):
         tw = int(spec.twists[ci])
         v0, e0 = cuff_circle(0, q)
         v1, e1 = cuff_circle(1, q)
-        for j in range(m):
-            uf.union(v0[j], v1[(tw - j) % m])
-        for j in range(m):
-            glue_pair(e0[j], e1[(tw - j - 1) % m])
+        same.append((v0, v1[(tw - k) % m]))
+        glue_pair(e0, 0, e1[(tw - k - 1) % m], 0)
         if ci == 0:
             gamma_cycle = v0
 
-    labels = np.array([uf.find(v) for v in range(4 * nv_hex)])
-    _, compact = np.unique(labels, return_inverse=True)
-    faces = compact[faces]
-    faces, lengths, glue = _orient(faces, lengths, glue_dict, num_faces)
+    # Surface vertices are the classes of `same`, numbered in the order of
+    # their smallest hexagon vertex.
+    n = 4 * (B + 1)
+    u, v = np.concatenate(same, axis=1)
+    merge = sparse.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    _, label = csgraph.connected_components(merge, directed=False)
 
-    surface = TriangulatedSurface(faces, lengths, glue)
-    gamma = curve_from_vertex_cycle(surface, [int(compact[uf.find(v)]) for v in gamma_cycle])
+    surface = TriangulatedSurface(label[faces], lengths, glue)
+    gamma = curve_from_vertex_cycle(surface, label[gamma_cycle])
     if abs(gamma.length - l1) > CURVE_LENGTH_TOL:
         raise MeshError(f"cuff curve length {gamma.length!r} deviates from {l1!r}")
     return surface, gamma

@@ -260,6 +260,15 @@ def test_start_block_must_match_the_dof(base_levels):
             solve_smallest(pencil, count=5, start=start)
 
 
+def test_lanczos_breakdown_is_an_eigensolver_error(base_r0, monkeypatch):
+    def eigsh(*args, **kwargs):
+        raise eigen.ArpackNoConvergence("no convergence", np.zeros(1), np.zeros((1, 1)))
+
+    monkeypatch.setattr(eigen, "eigsh", eigsh)
+    with pytest.raises(EigensolverError, match="Lanczos did not converge: 1 of 7 pairs"):
+        solve_smallest(assemble(base_r0[0]), count=5)
+
+
 def test_count_bounds():
     pencil = pencil_from_dense(np.eye(3), np.eye(3))
     with pytest.raises(EigensolverError):

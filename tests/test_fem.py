@@ -132,9 +132,6 @@ def test_element_mass_sums_to_hyperbolic_area(a, b, c):
     assert abs(Me.sum() - area) <= 1e-13 * max(1.0, area)
     assert np.abs(Me - Me.T).max() == 0.0
     assert np.linalg.eigvalsh(Me).min() > 0
-    Ml = element_mass(lengths, lumped=True)[0]
-    assert np.abs(Ml - np.diag(np.diag(Ml))).max() == 0.0
-    assert abs(Ml.sum() - area) <= 1e-13 * max(1.0, area)
 
 
 def test_element_mass_pattern():

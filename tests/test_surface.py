@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -55,6 +56,40 @@ def test_builder_invariants(l1, l2, l3, t1, t2, t3, m):
     assert not gamma.separating
     assert abs(surface.total_area() - 4 * math.pi) <= 1e-8
 
+
+
+# Frozen digests of the builder's combinatorics: faces, glue, and gamma's
+# vertices and edges.  Only integers are hashed, so the digests do not
+# depend on the platform's libm.
+BUILDER_DIGESTS = [
+    ((2.0, 2.0, 2.0), (0, 0, 0), 8,
+     "6917f588cc1f8477", "014eb9b34fa79088", "7e2a77b5fa049f5b"),
+    ((1.0, 3.0, 5.0), (1, 2, 3), 12,
+     "47466c43a995ec3d", "1022535bcb9cd077", "f736e77def807ee9"),
+    ((0.05, 2.0, 2.0), (-3, 5, 0), 4,
+     "89ef3f23bb4625db", "521585c56a6979ed", "74ce53f12c428739"),
+    ((6.0, 6.0, 6.0), (7, -1, 2), 16,
+     "2afa3f45e0841249", "e29e608d89338726", "e9250ad894605603"),
+    ((0.3, 1.0, 4.0), (0, 0, 0), 32,
+     "5948c09a1e4c9278", "c17a3891c452e1d1", "920cb217957a34c3"),
+    ((2.0, 2.0, 2.0), (3, 0, 0), 6,
+     "4f1b84853052c5bb", "d89ad7af794a46a4", "ad80434db0bb13e5"),
+]
+
+
+def int_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cuffs, twists, m, faces, glue, gamma", BUILDER_DIGESTS)
+def test_builder_output_is_frozen(cuffs, twists, m, faces, glue, gamma):
+    surface, curve = build_surface(FenchelNielsenSpec(cuffs, twists, m))
+    assert int_digest(surface.faces) == faces
+    assert int_digest(surface.glue) == glue
+    assert int_digest(curve.vertices, curve.edges) == gamma
 
 def test_twist_wraps_modulo_m(base_r0):
     surface, _ = base_r0
@@ -117,6 +152,15 @@ def test_validate_rejects_orientation_flip(base_r0):
     with pytest.raises(MeshError):
         rebuild(surface, faces=faces, lengths=lengths)
 
+
+
+def test_validate_names_an_unglued_side(base_r0):
+    surface, _ = base_r0
+    glue = surface.glue.copy()
+    g, r = glue[5, 1]
+    glue[5, 1] = glue[g, r] = -1
+    with pytest.raises(MeshError, match="side 1 of face 5 is not glued"):
+        rebuild(surface, glue=glue)
 
 def test_validate_rejects_self_gluing(base_r0):
     surface, _ = base_r0
