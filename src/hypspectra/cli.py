@@ -41,7 +41,8 @@ from .bound import (RAMP_CAP, BoundError, CollarData, bound_report, collar_width
                     distance_to_curves, minimax_certificate, ramp_quotient)
 from .cover import cyclic_cover
 from .eigen import CharacterSolver, EigensolverError, dense_oracle, solve_smallest
-from .fem import SparsePencil, assemble, prolongation, refine
+from .fem import (SparsePencil, assemble, bisection_codes, dissection, prolongation,
+                  refine)
 from .surface import FenchelNielsenSpec, MeshError, build_surface, cut_along, write_hypmesh
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "load_config", "main"]
@@ -357,6 +358,7 @@ def cmd_converge(config: RunConfig) -> int:
     chash = config_hash(config)
 
     surface, _ = _base_pipeline(replace(config, refine=0))
+    codes = bisection_codes(surface)
     count = 5
     rows = []
     area_target = -2.0 * math.pi * surface.euler_characteristic()
@@ -370,8 +372,8 @@ def cmd_converge(config: RunConfig) -> int:
             start = prolongation(surface) @ spectrum.vectors
             surface, _ = refine(surface)
         pencil = assemble(surface, mass=config.mass)
-        spectrum = solve_smallest(pencil, count=count, tol=config.tol,
-                                  seed=config.seed, start=start)
+        spectrum = solve_smallest(pencil, count=count, tol=config.tol, seed=config.seed,
+                                  start=start, order=dissection(surface, codes))
         area = float(surface.total_area())
         scale = pencil.stiffness.diagonal().sum() / pencil.dof
         areas_ok &= bool(abs(area - area_target) <= 1e-8)
@@ -549,13 +551,17 @@ def cmd_oracle_check(config: RunConfig) -> int:
 
     base0, gamma0 = _base_pipeline(replace(config, refine=0))
     base1, _ = refine(base0)
+    codes = bisection_codes(base0)
     cover0 = cyclic_cover(base0, gamma0, n=config.n, N=1)
     worst = 0.0
-    meshes = [("base_level0", base0), ("base_level1", base1),
-              ("cover_level0", cover0.surface)]
-    for name, surface in meshes:
+    # The base meshes are factored in their nested-dissection order, as in
+    # `converge`; the cover has no face tree and keeps SuperLU's own order.
+    meshes = [(base0, dissection(base0, codes)), (base1, dissection(base1, codes)),
+              (cover0.surface, None)]
+    for surface, order in meshes:
         pencil = assemble(surface, mass=config.mass)
-        sparse = solve_smallest(pencil, count=6, tol=config.tol, seed=config.seed)
+        sparse = solve_smallest(pencil, count=6, tol=config.tol, seed=config.seed,
+                                order=order)
         dense = dense_oracle(pencil, count=6)
         diff = float(np.max(np.abs(sparse.values - dense.values) /
                             np.maximum(1.0, np.abs(dense.values))))

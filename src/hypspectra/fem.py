@@ -23,6 +23,14 @@ bit for bit.
 which carries eigenvectors of one level up to the next as a starting
 block for the solver.
 
+`refine` numbers the four children of face f 4f..4f+3, with 4f the
+central one, so the faces of a surface refined L times form a quadtree
+under the base faces: face f descends from base face f >> 2L.
+`dissection` depends on this numbering.  It orders the vertices of a
+refined surface by nested dissection along that tree, whose top levels
+split the base faces by spectral bisection (`bisection_codes`), and
+`converge` factors its pencils in that order.
+
 `assemble` reads only faces, lengths and the vertex count, so it also
 assembles a surface cut open along a curve.  That pencil also gives the
 quadratic forms of a cover glued from copies of the cut surface: every
@@ -36,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
+from scipy.sparse import csgraph
 
 from . import hypgeom
 from .surface import CutSurface, MeshCurve, TriangulatedSurface
@@ -43,6 +53,8 @@ from .surface import CutSurface, MeshCurve, TriangulatedSurface
 __all__ = [
     "SparsePencil",
     "assemble",
+    "bisection_codes",
+    "dissection",
     "element_mass",
     "element_stiffness",
     "prolongation",
@@ -65,9 +77,10 @@ def refine(surface: TriangulatedSurface, curves=()):
     """Split every face into four; returns (refined_surface, refined_curves).
 
     Child 4f is the central midline triangle of face f; child 4f+1+k
-    keeps parent corner k.  Each curve in `curves` is carried along by
-    replacing every edge with its two halves, and the refined curves
-    are returned in the same order.  Subdivision does not change the
+    keeps parent corner k.  `dissection` depends on this numbering: the
+    children of face f are 4f..4f+3.  Each curve in `curves` is carried
+    along by replacing every edge with its two halves, and the refined
+    curves are returned in the same order.  Subdivision does not change the
     topology, so each keeps its `separating` flag.
     """
     F = surface.num_faces
@@ -125,6 +138,81 @@ def refine(surface: TriangulatedSurface, curves=()):
         out_curves.append(MeshCurve(tuple(verts), tuple(edges), length,
                                     separating=curve.separating))
     return refined, out_curves
+
+
+def bisection_codes(base: TriangulatedSurface) -> np.ndarray:
+    """One int64 nested-dissection code per face of `base`, by spectral bisection.
+
+    The faces are split recursively until every piece is one face.  A
+    piece that falls apart is split into the connected component of its
+    first face and the rest; a connected piece at the median of its
+    Fiedler vector (Pothen, Simon & Liou, SIMAX 11, 1990), from a dense
+    `eigh` of the piece's graph Laplacian.  The vector's sign puts its
+    largest entry positive and ties go by face id, so reruns give the
+    same codes.  With D the depth of the deepest
+    split, the split at depth j sets bit D-1-j of the code, so two faces
+    share the top bits of their codes as far as they share pieces.
+    """
+    adjacency = (base.face_adjacency() > 0).astype(np.float64)
+    path = np.zeros(base.num_faces, dtype=np.int64)
+    depth = np.zeros(base.num_faces, dtype=np.int64)
+    pieces = [np.arange(base.num_faces)]
+    while pieces:
+        piece = pieces.pop()
+        if len(piece) < 2:
+            continue
+        sub = adjacency[piece][:, piece]
+        parts, labels = csgraph.connected_components(sub, directed=False)
+        if parts > 1:
+            upper = labels != labels[0]
+        else:
+            laplacian = np.diag(np.asarray(sub.sum(axis=1)).ravel()) - sub.toarray()
+            fiedler = eigh(laplacian, subset_by_index=[1, 1])[1][:, 0]
+            if fiedler[np.argmax(np.abs(fiedler))] < 0:
+                fiedler = -fiedler
+            upper = np.zeros(len(piece), dtype=bool)
+            upper[np.lexsort((piece, fiedler))[len(piece) // 2:]] = True
+        path[piece] = 2 * path[piece] + upper
+        depth[piece] += 1
+        pieces += [piece[upper], piece[~upper]]
+    return path << (depth.max() - depth)
+
+
+def dissection(surface: TriangulatedSurface, codes) -> np.ndarray:
+    """Nested-dissection order of the vertices of a refined surface.
+
+    `surface` is `refine` applied L times to the base whose
+    `bisection_codes` are `codes`.  `refine` numbers the children of
+    face f 4f..4f+3, so face f descends from base face f >> 2L, and its
+    low 2L bits are its path down the quadtree: its code is
+    codes[f >> 2L] << 2L | (f & (4^L - 1)).  Every vertex belongs to the
+    tree node of the longest common top-bit prefix of its faces' codes,
+    which the XOR of their least and greatest code gives.  The order
+    lists the vertices children before parents (postorder), ties by
+    vertex id, so each node's separator comes after the two halves it
+    separates (George, SIAM J. Numer. Anal. 10, 1973).
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    F, L = surface.num_faces, 0
+    while len(codes) * 4**L < F:
+        L += 1
+    if len(codes) * 4**L != F:
+        raise ValueError(f"a surface with {F} faces is not refined from a base with "
+                         f"{len(codes)} faces: {F} is not {len(codes)} * 4^L")
+    f = np.arange(F)
+    leaf = np.repeat(codes[f >> 2 * L] << 2 * L | (f & (4**L - 1)), 3)
+    vertex = surface.faces.reshape(-1)
+    V = surface.num_vertices
+    lo = np.full(V, np.iinfo(np.int64).max)
+    hi = np.zeros(V, dtype=np.int64)
+    np.minimum.at(lo, vertex, leaf)
+    np.maximum.at(hi, vertex, leaf)
+    # below: the bits under the vertex's node, all set; lo | below is the
+    # node's last leaf, where a postorder visits it.
+    below = lo ^ hi
+    for shift in (1, 2, 4, 8, 16, 32):
+        below |= below >> shift
+    return np.lexsort((np.arange(V), below, lo | below))
 
 
 def prolongation(surface: TriangulatedSurface) -> sparse.csr_matrix:

@@ -137,8 +137,9 @@ class TriangulatedSurface:
         F = self.num_faces
         if F == 0 or F % 2:
             raise MeshError("a closed surface needs a positive even number of faces")
-        used = np.unique(faces)
-        if used[0] != 0 or used[-1] != self.num_vertices - 1 or len(used) != self.num_vertices:
+        # num_vertices is faces.max() + 1, so no id lies above V-1.
+        if faces.min() < 0 or not np.all(np.bincount(faces.ravel(),
+                                                     minlength=self.num_vertices)):
             raise MeshError("vertex ids must be contiguous 0..V-1")
         gf, gs = glue[..., 0], glue[..., 1]
         missing = (gf < 0) | (gf >= F) | (gs < 0) | (gs > 2)

@@ -9,6 +9,7 @@ bitwise equality.
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from hypspectra.eigen import dense_oracle
 from hypspectra.fem import SparsePencil
@@ -76,3 +77,22 @@ def dense_character_values(solver, phase, count=None) -> np.ndarray:
     """
     K, B = solver._pencil(phase)
     return dense_oracle(SparsePencil(stiffness=K, mass=B), count=count or solver.dof).values
+
+
+def colamd_smallest(pencil, count, tol=1e-9, seed=0):
+    """Reference shift-invert Lanczos: K - sigma B factored in SuperLU's COLAMD order.
+
+    Returns (the `count` smallest eigenvalues, ascending; the factors'
+    fill).  The reference for a solve in a nested-dissection order:
+    SuperLU picks its own column order here, with its default threshold
+    pivoting, and the shift is solve_smallest's.
+    """
+    K, B = pencil.stiffness.tocsc(), pencil.mass.tocsc()
+    n = K.shape[0]
+    sigma = -1e-2 * K.diagonal().sum() / n
+    lu = splu(K - sigma * B)
+    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    values = eigsh(K, k=count + 2, M=B, sigma=sigma, OPinv=opinv, v0=v0,
+                   ncv=max(4 * (count + 2) + 1, 40), tol=tol, return_eigenvectors=False)
+    return np.sort(values)[:count], lu.nnz

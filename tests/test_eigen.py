@@ -10,8 +10,9 @@ from hypspectra import eigen
 from hypspectra.cover import cut_along, cyclic_cover
 from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, CharacterSolver, EigensolverError,
                               dense_oracle, residuals, solve_smallest)
-from hypspectra.fem import SparsePencil, assemble, prolongation
-from oracles import dense_character_values
+from hypspectra.fem import (SparsePencil, assemble, bisection_codes, dissection,
+                            prolongation, refine)
+from oracles import colamd_smallest, dense_character_values
 
 
 def pencil_from_dense(K, B):
@@ -249,6 +250,39 @@ def test_warm_start_is_seeded():
     assert r1.values.tobytes() == r2.values.tobytes()
     assert r1.vectors.tobytes() == r2.vectors.tobytes()
     assert r1.vectors.tobytes() != r3.vectors.tobytes()
+
+
+# -- nested-dissection factorization order -------------------------------------------
+
+@pytest.fixture(scope="module")
+def refined_levels(base_levels):
+    """The default base refined 1..4 times."""
+    surfaces = [surface for surface, _ in base_levels[1:]]
+    return surfaces + [refine(surfaces[-1])[0]]
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+def test_dissection_order_matches_colamd(base_levels, refined_levels, mass):
+    # `converge` factors each level in the nested-dissection order read off
+    # the refinement tree; the values must be those of SuperLU's own COLAMD
+    # order, the double lambda_2 = lambda_3 kept, and the factors smaller.
+    codes = bisection_codes(base_levels[0][0])
+    for level, surface in enumerate(refined_levels, start=1):
+        pencil = assemble(surface, mass=mass)
+        reference, reference_fill = colamd_smallest(pencil, count=5)
+        result = solve_smallest(pencil, count=5, order=dissection(surface, codes))
+        lam = result.values
+        assert np.all(np.abs(lam[1:] - reference[1:]) <= 1e-11 * reference[1:]), level
+        assert abs(lam[2] - lam[3]) <= 1e-11 * lam[2]
+        assert result.residuals.max() <= 1e-9
+    assert result.lu_fill <= 0.8 * reference_fill
+
+
+def test_order_must_be_a_permutation_of_the_dof(base_levels):
+    pencil = assemble(base_levels[1][0])
+    for order in (np.arange(pencil.dof - 1), np.zeros(pencil.dof, dtype=np.int64)):
+        with pytest.raises(EigensolverError, match="permutation"):
+            solve_smallest(pencil, count=5, order=order)
 
 
 # -- errors -----------------------------------------------------------------------

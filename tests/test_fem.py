@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from scipy.sparse import csgraph
 
 from hypspectra.cover import cyclic_cover
 from hypspectra.bound import rayleigh
-from hypspectra.fem import (_canonical_sum, assemble, element_mass, element_stiffness,
-                            prolongation, refine)
+from hypspectra.fem import (_canonical_sum, assemble, bisection_codes, dissection,
+                            element_mass, element_stiffness, prolongation, refine)
 from hypspectra.hypgeom import GeometryError, triangle_areas
-from hypspectra.surface import curve_from_vertex_cycle
+from hypspectra.surface import FenchelNielsenSpec, build_surface, curve_from_vertex_cycle
 from oracles import canonical_csr_lexsort
 
 side = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)
@@ -83,6 +84,83 @@ def test_prolongation_interpolates_onto_refine(base_levels, level):
         assert np.all(ends[0] != ends[1])
         expect[mids, ends[0]] = expect[mids, ends[1]] = 0.5
     assert np.array_equal(dense[V:], expect)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_refine_numbers_children_after_parent(base_levels, level):
+    # The face-numbering contract `dissection` reads: the children of face
+    # f are 4f..4f+3, 4f the central one, glued along its side k to child
+    # 4f+1+k, which keeps parent corner k and two midpoints of the parent.
+    coarse, _ = base_levels[level]
+    fine, _ = base_levels[level + 1]
+    F, V = coarse.num_faces, coarse.num_vertices
+    assert fine.num_faces == 4 * F
+    central = fine.faces[0::4]
+    assert np.all(central >= V)
+    for k in range(3):
+        child = 4 * np.arange(F) + 1 + k
+        assert np.array_equal(fine.faces[child, 0], coarse.faces[:, k])
+        assert np.array_equal(fine.faces[child, 1], central[:, (k + 2) % 3])
+        assert np.array_equal(fine.faces[child, 2], central[:, (k + 1) % 3])
+        assert np.array_equal(fine.glue[child, 0, 0], 4 * np.arange(F))
+        assert np.array_equal(fine.glue[child, 0, 1], np.full(F, k))
+
+
+# -- nested dissection --------------------------------------------------------
+
+def tree_nodes(surface, codes):
+    """Each vertex's tree node as a bit string: the common prefix of its faces' codes.
+
+    A face's code is spelled out from its base face's code and its
+    quadtree path, one character per bit.
+    """
+    L = 0
+    while len(codes) * 4**L < surface.num_faces:
+        L += 1
+    width = int(codes.max()).bit_length()
+    spelled = [format(int(codes[f >> 2 * L]), f"0{width}b") +
+               (format(f % 4**L, f"0{2 * L}b") if L else "")
+               for f in range(surface.num_faces)]
+    faces_of = [[] for _ in range(surface.num_vertices)]
+    for f, corners in enumerate(surface.faces):
+        for v in corners:
+            faces_of[v].append(spelled[f])
+    return [os.path.commonprefix(words) for words in faces_of]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_dissection_is_a_postorder_permutation(base_levels, level):
+    surface, _ = base_levels[level]
+    codes = bisection_codes(base_levels[0][0])
+    assert len(np.unique(codes)) == len(codes)
+    order = dissection(surface, codes)
+    assert np.array_equal(np.sort(order), np.arange(surface.num_vertices))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    nodes = tree_nodes(surface, codes)
+    # The first position among the vertices at each node.
+    at_node = {}
+    for v, node in enumerate(nodes):
+        at_node[node] = min(at_node.get(node, len(order)), position[v])
+    for v, node in enumerate(nodes):
+        ancestors = [at_node[node[:k]] for k in range(len(node)) if node[:k] in at_node]
+        assert all(position[v] < p for p in ancestors), f"vertex {v} after an ancestor"
+
+
+def test_dissection_names_a_face_count_off_the_tree(base_levels):
+    codes = bisection_codes(base_levels[0][0])
+    surface, _ = base_levels[1]
+    with pytest.raises(ValueError, match=f"{surface.num_faces} faces.*{len(codes) - 1} faces"):
+        dissection(surface, codes[:-1])
+
+
+@pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (0.5, 2.0, 2.0)])
+def test_dissection_is_deterministic(cuffs):
+    base, _ = build_surface(FenchelNielsenSpec(cuff_lengths=cuffs))
+    codes = bisection_codes(base)
+    assert np.array_equal(codes, bisection_codes(base))
+    fine, _ = refine(base)
+    assert np.array_equal(dissection(fine, codes), dissection(fine, bisection_codes(base)))
 
 
 # -- element matrices ---------------------------------------------------------

@@ -162,6 +162,14 @@ def test_validate_names_an_unglued_side(base_r0):
     with pytest.raises(MeshError, match="side 1 of face 5 is not glued"):
         rebuild(surface, glue=glue)
 
+def test_validate_rejects_a_gap_in_the_vertex_ids(base_r0):
+    surface, _ = base_r0
+    for faces in (surface.faces + (surface.faces >= 5),              # id 5 unused
+                  np.where(surface.faces == 0, -1, surface.faces)):  # id 0 is -1
+        with pytest.raises(MeshError, match="vertex ids must be contiguous"):
+            rebuild(surface, faces=faces)
+
+
 def test_validate_rejects_self_gluing(base_r0):
     surface, _ = base_r0
     glue = surface.glue.copy()
