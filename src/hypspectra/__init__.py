@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .bound import (BoundError, BoundReport, CollarData, bound_report,
                     boundary_distances, collar_data, collar_width,
                     minimax_certificate, piece_ramps, ramp_quotient, rayleigh)
-from .cover import CoverError, CoverSurface, cyclic_cover, verify_deck_symmetry
+from .cover import CoverError, CoverSurface, cyclic_cover
 from .eigen import (CharacterSolver, CharacterSpectrum, EigensolverError, SpectrumResult,
                     dense_oracle, residuals, solve_smallest)
 from .fem import (SparsePencil, assemble, element_mass, element_stiffness, prolongation,
@@ -24,6 +24,5 @@ __all__ = [
     "curve_from_vertex_cycle", "cut_along", "cyclic_cover", "dense_oracle",
     "element_mass", "element_stiffness",
     "minimax_certificate", "piece_ramps", "prolongation", "ramp_quotient", "rayleigh",
-    "read_hypmesh", "refine", "residuals", "solve_smallest",
-    "verify_deck_symmetry", "write_hypmesh",
+    "read_hypmesh", "refine", "residuals", "solve_smallest", "write_hypmesh",
 ]

@@ -132,8 +132,7 @@ def _parse_number_list(text: str, count=None, kind=float):
 def parse_config_file(path) -> dict:
     """Read `key = value` lines into a raw-string dict."""
     raw = {}
-    known = {"cuffs", "twists", "m", "n", "N", "refine", "tol", "out", "seed",
-             "mass", "testfn"}
+    known = {f.name for f in fields(RunConfig)}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -172,9 +171,9 @@ def load_config(args) -> RunConfig:
     """Defaults, then config file, then flags; flags win."""
     raw = parse_config_file(args.config) if args.config else {}
     config = _config_from_raw(raw)
-    overrides = {key: getattr(args, key)
-                 for key in ("n", "N", "refine", "tol", "out", "seed", "mass", "testfn")
-                 if getattr(args, key) is not None}
+    flags = vars(args)
+    overrides = {f.name: flags[f.name] for f in fields(RunConfig)
+                 if flags.get(f.name) is not None}
     if "N" in overrides:
         overrides["N"] = tuple(_parse_number_list(overrides["N"], None, int))
     return replace(config, **overrides)
@@ -262,8 +261,7 @@ def _sweep_rows(config: RunConfig):
                         "operator_applies": spectrum.iterations,
                         "max_residual": float(spectrum.residuals.max()),
                         "sigma": spectrum.sigma,
-                        "below_sigma": spectrum.below_sigma,
-                        "factorizations": spectrum.factorizations}
+                        "below_sigma": spectrum.below_sigma}
         row.update(h=report.h, eta=report.eta, t=report.t, bound=report.bound,
                    certificate=report.certificate,
                    bound_holds=report.bound_holds,
@@ -294,7 +292,8 @@ def cmd_build(config: RunConfig) -> int:
     for N in sorted(set(config.N)):
         cover = cyclic_cover(base, gamma, n=config.n, N=N)
         path = out / f"cover_n{config.n}_N{N}.hypmesh"
-        write_hypmesh(path, cover.surface, cover=cover)
+        write_hypmesh(path, cover.surface,
+                      curves={f"lift_{i}": lift for i, lift in enumerate(cover.lifts, start=1)})
         record(path, cover.surface)
 
     _write_json(out / "build.json", {

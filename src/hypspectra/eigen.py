@@ -133,8 +133,6 @@ class CharacterSpectrum:
     below_sigma is the number of the cover's eigenvalues below the
     slicing shift sigma by inertia, each character pair counted twice;
     it equals the number of solved eigenvalues below sigma.
-    factorizations counts the sparse inertia factorizations this
-    spectrum ran: 1, the seam Schur complement's, for every degree.
     """
 
     values: np.ndarray
@@ -143,7 +141,6 @@ class CharacterSpectrum:
     iterations: int
     sigma: float
     below_sigma: int
-    factorizations: int
 
 
 def residuals(K, B, values, vectors) -> np.ndarray:
@@ -477,7 +474,7 @@ class CharacterSolver:
         order = np.argsort(values, kind="stable")[:self.count]
         return CharacterSpectrum(values=values[order], residuals=res[order],
                                  solved=solved, iterations=applies, sigma=sigma,
-                                 below_sigma=below, factorizations=1)
+                                 below_sigma=below)
 
     def _counts(self, phases: list, sigma: float) -> np.ndarray:
         """Eigenvalues below sigma of each phase's character pencil, by inertia.

@@ -49,7 +49,6 @@ __all__ = [
     "curve_from_vertex_cycle",
     "cut_along",
     "read_hypmesh",
-    "surfaces_combinatorially_equal",
     "write_hypmesh",
 ]
 
@@ -567,33 +566,6 @@ def cut_along(surface: TriangulatedSurface, curve: MeshCurve) -> CutSurface:
     return cut
 
 
-def surfaces_combinatorially_equal(s1: TriangulatedSurface, s2: TriangulatedSurface) -> bool:
-    """Equality of faces/lengths/gluing up to a relabeling of vertex ids.
-
-    Face order must agree; vertex ids are canonicalized by first
-    appearance in face order.
-    """
-    if s1.num_faces != s2.num_faces:
-        return False
-    if not np.array_equal(s1.glue, s2.glue):
-        return False
-    if not np.allclose(s1.lengths, s2.lengths, rtol=0, atol=LENGTH_PAIR_TOL):
-        return False
-
-    def canon(faces):
-        seen = {}
-        out = np.empty_like(faces)
-        flat = faces.ravel()
-        res = out.ravel()
-        for i, v in enumerate(flat):
-            if v not in seen:
-                seen[v] = len(seen)
-            res[i] = seen[v]
-        return out
-
-    return np.array_equal(canon(s1.faces), canon(s2.faces))
-
-
 # -- HYPMESH serialization -----------------------------------------------------
 
 
@@ -601,14 +573,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_hypmesh(path, surface: TriangulatedSurface, curves=None, cover=None) -> None:
-    """Write a surface (and optional curves / cover data) as a HYPMESH file.
+def write_hypmesh(path, surface: TriangulatedSurface, curves=None) -> None:
+    """Write a surface and optional named curves as a HYPMESH file.
 
     Layout: header `HYPMESH 1`, count line `F <faces> G <genus>`, one
     line per face `v0 v1 v2 len0 len1 len2`, one line per undirected
-    edge `f1 side1 f2 side2`, then optional named `CURVE` blocks.  A
-    cover adds `DECK <d>` (one face-permutation image per line),
-    `PIECE <i> <count>` face lists and `LIFT <i> <count>` curve blocks.
+    edge `f1 side1 f2 side2`, then optional named `CURVE` blocks.
     Lines starting with `#` are comments.  Output bytes are
     deterministic for identical inputs.
     """
@@ -626,16 +596,6 @@ def write_hypmesh(path, surface: TriangulatedSurface, curves=None, cover=None) -
             raise CurveError(f"curve name {name!r} must not contain whitespace")
         lines.append(f"CURVE {name} {len(curve.edges)}")
         lines.extend(f"{f} {s}" for f, s in curve.edges)
-    if cover is not None:
-        lines.append(f"DECK {cover.degree}")
-        lines.extend(str(int(x)) for x in cover.deck_face)
-        for i in range(1, cover.n + 2):
-            members = np.flatnonzero(cover.piece == i)
-            lines.append(f"PIECE {i} {len(members)}")
-            lines.extend(str(int(f)) for f in members)
-        for i, lift in enumerate(cover.lifts, start=1):
-            lines.append(f"LIFT {i} {len(lift.edges)}")
-            lines.extend(f"{f} {s}" for f, s in lift.edges)
     data = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(data)
@@ -664,11 +624,9 @@ class _LineReader:
 def read_hypmesh(path):
     """Parse a HYPMESH file.
 
-    Returns (surface, curves, cover_info); cover_info is None for plain
-    surfaces, else a dict with keys degree, deck_face, pieces, lifts
-    (lift curve edge lists).  The PIECE blocks of a cover must partition
-    the faces.  Malformed input raises MeshError with the offending line
-    number.
+    Returns (surface, curves), curves mapping each CURVE block's name
+    to its MeshCurve.  Malformed input raises MeshError with the
+    offending line number.
     """
     rd = _LineReader(path)
     no, ln = rd.next("header")
@@ -727,81 +685,30 @@ def read_hypmesh(path):
             got = " ".join(fields)
             raise MeshError(f"line {no}: expected integer {what}, got {got!r}") from None
 
-    def header(no, parts, layout, skip=1):
-        """Integer fields of a block header after its first `skip` fields."""
-        if len(parts) != len(layout.split()):
-            raise MeshError(f"line {no}: expected '{layout}'")
-        values = ints(no, parts[skip:], "header fields")
-        if values[-1] < 0:
-            raise MeshError(f"line {no}: negative count {values[-1]}")
-        return values
-
-    def read_face_ids(count, what):
-        out = []
-        for _ in range(count):
-            no, ln = rd.next(what)
-            (f,) = ints(no, [ln], what)
-            if not 0 <= f < nf:
-                raise MeshError(f"line {no}: face {f} does not exist")
-            out.append(f)
-        return np.array(out, dtype=np.int64)
-
-    def read_side_list(count, what):
-        out = []
-        for _ in range(count):
-            no, ln = rd.next(what)
+    curves = {}
+    while not rd.exhausted:
+        no, ln = rd.next("block")
+        parts = ln.split()
+        if parts[0] != "CURVE":
+            raise MeshError(f"line {no}: unrecognized block {parts[0]!r}")
+        if len(parts) != 3:
+            raise MeshError(f"line {no}: expected 'CURVE <name> <edges>'")
+        name, (cnt,) = parts[1], ints(no, parts[2:], "header fields")
+        if cnt < 0:
+            raise MeshError(f"line {no}: negative count {cnt}")
+        sides = []
+        for _ in range(cnt):
+            no, ln = rd.next(f"curve {name}")
             parts = ln.split()
             if len(parts) != 2:
                 raise MeshError(f"line {no}: expected 'face side'")
             f, s = ints(no, parts, "face and side")
             if not (0 <= f < nf and 0 <= s < 3):
                 raise MeshError(f"line {no}: side {f} {s} does not exist")
-            out.append((f, s))
-        return out
-
-    def curve_from_sides(side_list, what):
-        verts = [int(faces[f, (s + 1) % 3]) for f, s in side_list]
-        for j, (f, s) in enumerate(side_list):
-            nxt = verts[(j + 1) % len(side_list)]
-            if int(faces[f, (s + 2) % 3]) != nxt:
-                raise MeshError(f"{what}: edges do not chain into a closed cycle")
-        return curve_from_vertex_cycle(surface, verts)
-
-    curves = {}
-    cover_info = None
-    while not rd.exhausted:
-        no, ln = rd.next("block")
-        parts = ln.split()
-        if parts[0] == "CURVE":
-            (cnt,) = header(no, parts, "CURVE <name> <edges>", skip=2)
-            name = parts[1]
-            curves[name] = curve_from_sides(read_side_list(cnt, f"curve {name}"), f"CURVE {name}")
-        elif parts[0] == "DECK":
-            (degree,) = header(no, parts, "DECK <degree>")
-            deck = read_face_ids(nf, "deck image")
-            if not np.array_equal(np.sort(deck), np.arange(nf)):
-                raise MeshError(f"line {no}: DECK is not a permutation of the faces 0..{nf - 1}")
-            cover_info = {"degree": degree, "deck_face": deck, "pieces": {}, "lifts": []}
-        elif parts[0] == "PIECE":
-            if cover_info is None:
-                raise MeshError(f"line {no}: PIECE block before DECK")
-            idx, cnt = header(no, parts, "PIECE <index> <count>")
-            if idx in cover_info["pieces"]:
-                raise MeshError(f"line {no}: piece {idx} is listed twice")
-            cover_info["pieces"][idx] = read_face_ids(cnt, "piece member")
-        elif parts[0] == "LIFT":
-            if cover_info is None:
-                raise MeshError(f"line {no}: LIFT block before DECK")
-            idx, cnt = header(no, parts, "LIFT <index> <edges>")
-            lift = curve_from_sides(read_side_list(cnt, f"lift {idx}"), f"LIFT {idx}")
-            cover_info["lifts"].append(lift)
-        else:
-            raise MeshError(f"line {no}: unrecognized block {parts[0]!r}")
-    if cover_info is not None:
-        members = [np.empty(0, dtype=np.int64), *cover_info["pieces"].values()]
-        listed = np.bincount(np.concatenate(members), minlength=nf)
-        if np.any(listed > 1):
-            raise MeshError(f"face {np.argmax(listed > 1)} is in more than one PIECE")
-        if np.any(listed == 0):
-            raise MeshError(f"face {np.argmin(listed)} is in no PIECE")
-    return surface, curves, cover_info
+            sides.append((f, s))
+        verts = [int(faces[f, (s + 1) % 3]) for f, s in sides]
+        if any(int(faces[f, (s + 2) % 3]) != verts[(j + 1) % cnt]
+               for j, (f, s) in enumerate(sides)):
+            raise MeshError(f"CURVE {name}: edges do not chain into a closed cycle")
+        curves[name] = curve_from_vertex_cycle(surface, verts)
+    return surface, curves

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 import hypspectra.cli as cli_module
@@ -10,7 +11,9 @@ import hypspectra.cover as cover_module
 import hypspectra.eigen as eigen_module
 from hypspectra.cli import (CSV_DOC, ConfigError, RunConfig, build_parser,
                             config_hash, load_config, main, parse_config_file)
+from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import CharacterSolver, EigensolverError
+from hypspectra.surface import read_hypmesh
 
 TINY = ["--refine", "0", "--n", "1", "--N", "1,2"]
 ENVELOPE = ["timestamp", "version", "config_hash", "config"]
@@ -169,6 +172,22 @@ def test_build_writes_verifiable_manifest(tmp_path):
     assert [e["genus"] for e in manifest["files"]] == [2, 3, 5]
 
 
+def test_build_cover_file_carries_lifts_and_deck_shift(tmp_path, base_r0):
+    out = tmp_path / "run"
+    assert main(["build", "--out", str(out)] + TINY) == 0
+    surface, curves = read_hypmesh(out / "cover_n1_N2.hypmesh")
+    cover = cyclic_cover(*base_r0, n=1, N=2)
+    assert curves == {f"lift_{i}": lift for i, lift in enumerate(cover.lifts, start=1)}
+    # the file alone gives the deck group: d = G - 1 over the genus-2
+    # base, and the shift f -> f + F/d maps lengths and gluing onto themselves
+    F, d = surface.num_faces, surface.genus - 1
+    assert d == cover.degree and F % d == 0
+    moved = (np.arange(F) + F // d) % F
+    assert np.array_equal(surface.lengths[moved], surface.lengths)
+    assert np.array_equal(surface.glue[moved, :, 0], (surface.glue[..., 0] + F // d) % F)
+    assert np.array_equal(surface.glue[moved, :, 1], surface.glue[..., 1])
+
+
 def test_build_rerun_is_deterministic(tmp_path):
     out = tmp_path / "run"
     assert main(["build", "--out", str(out)] + TINY) == 0
@@ -209,14 +228,11 @@ def test_sweep_outputs(sweep_dir):
     for row in doc["rows"]:
         eigen = row["eigen"]
         assert set(eigen) == {"characters", "operator_applies", "max_residual",
-                              "sigma", "below_sigma", "factorizations"}
+                              "sigma", "below_sigma"}
         assert eigen["operator_applies"] > 0
         assert 0 <= eigen["max_residual"] <= 1e-12
         assert row["lambda"][-1] < eigen["sigma"] <= row["lambda"][-1] * (1 + 1e-6)
         assert eigen["below_sigma"] >= len(row["lambda"])
-    # Each row counts all its phases through one seam Schur complement,
-    # so it runs one sparse inertia factorization.
-    assert [row["eigen"]["factorizations"] for row in doc["rows"]] == [1, 1]
     # d = 2 solves the phases 0 and 1/2; d = 4 adds only 1/4.
     assert [row["eigen"]["characters"] for row in doc["rows"]] == [2, 1]
 
@@ -325,11 +341,9 @@ def test_sweep_row_independent_of_earlier_rows(family_doc, tmp_path):
     assert row["certificate"] == alone["certificate"]
     # alone, the row solves its phases k/48 with k <= 2 (0, 1/48 and
     # 1/24) and no other phase has an eigenvalue below sigma; in the
-    # family, the d = 24 row already solved 0 and 1/24.  Either way one
-    # factorization, the seam Schur complement's, counts all 25 phases.
+    # family, the d = 24 row already solved 0 and 1/24.
     assert alone["eigen"]["characters"] == 3
     assert row["eigen"]["characters"] == 1
-    assert alone["eigen"]["factorizations"] == row["eigen"]["factorizations"] == 1
     assert row["eigen"]["sigma"] == alone["eigen"]["sigma"]
     assert row["eigen"]["below_sigma"] == alone["eigen"]["below_sigma"]
 

@@ -1,18 +1,56 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from hypspectra.cover import CoverError, cyclic_cover, verify_deck_symmetry
-from hypspectra.surface import curve_from_vertex_cycle, surfaces_combinatorially_equal
+from hypspectra.cover import CoverError, cyclic_cover
+from hypspectra.surface import curve_from_vertex_cycle
+
+# SHA-256 prefixes of every array a cover carries, recorded from a
+# construction whose covers all passed an explicit check of the deck
+# symmetry (order d, bitwise lengths, gluing, pieces and lifts).  Any
+# change to the face layout, the vertex numbering, the deck map, the
+# pieces or the lifts shows here.
+COVER_DIGESTS = [
+    (0, 0, 1, "433b1c2a46d239a3"),
+    (0, 2, 1, "166fa9391e2e1443"),
+    (0, 1, 3, "9106a22aff785693"),
+    (0, 7, 2, "ef34b6b89dc11047"),
+    (1, 2, 2, "e13c986dd591f34d"),
+]
+
+
+def cover_digest(cover) -> str:
+    h = hashlib.sha256()
+    s = cover.surface
+    for a, dtype in ((s.faces, "<i8"), (s.glue, "<i8"), (s.lengths, "<f8"),
+                     (cover.copy_vertex, "<i8"), (cover.deck_vertex, "<i8"),
+                     (cover.piece, "<i8")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    for lift in cover.lifts:
+        h.update(np.asarray(lift.vertices, dtype="<i8").tobytes())
+        h.update(np.asarray(lift.edges, dtype="<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("level, n, N, digest", COVER_DIGESTS)
+def test_cover_output_is_frozen(base_levels, level, n, N, digest):
+    surface, gamma = base_levels[level]
+    assert cover_digest(cyclic_cover(surface, gamma, n=n, N=N)) == digest
 
 
 def test_identity_cover_reglues_to_base(base_r0):
     surface, gamma = base_r0
     cover = cyclic_cover(surface, gamma, n=0, N=1)
     assert cover.degree == 1
-    assert surfaces_combinatorially_equal(cover.surface, surface)
+    relabel = np.full(cover.surface.num_vertices, -1)
+    relabel[cover.copy_vertex[0]] = cover.cut.base_vertex
+    assert np.array_equal(np.sort(relabel), np.arange(surface.num_vertices))
+    assert np.array_equal(relabel[cover.surface.faces], surface.faces)
+    assert np.array_equal(cover.surface.lengths, surface.lengths)
+    assert np.array_equal(cover.surface.glue, surface.glue)
 
 
 def test_cover_counts_and_genus(base_r0):
@@ -28,18 +66,32 @@ def test_cover_counts_and_genus(base_r0):
         assert abs(cover.surface.total_area() - d * surface.total_area()) <= 1e-8 * d
 
 
+def shifted(cover, per_face):
+    """per_face moved one copy back: entry f is the entry of f + F/d, the deck image of f."""
+    return np.roll(per_face, -cover.surface.num_faces // cover.degree, axis=0)
+
+
 def test_deck_symmetry(small_cover):
-    verify_deck_symmetry(small_cover)   # raises on any violation
+    # the shift by one copy preserves lengths bitwise, commutes with the
+    # gluing, and carries each face's vertices along deck_vertex
+    surf = small_cover.surface
+    F, step = surf.num_faces, surf.num_faces // small_cover.degree
+    assert np.array_equal(shifted(small_cover, surf.lengths), surf.lengths)
+    assert np.array_equal(shifted(small_cover, surf.glue[..., 0]), (surf.glue[..., 0] + step) % F)
+    assert np.array_equal(shifted(small_cover, surf.glue[..., 1]), surf.glue[..., 1])
+    assert np.array_equal(small_cover.deck_vertex[surf.faces], shifted(small_cover, surf.faces))
 
 
 def test_deck_permutation_has_order_d(small_cover):
     d = small_cover.degree
-    perm = small_cover.deck_face
+    perm = small_cover.deck_vertex
+    identity = np.arange(len(perm))
+    assert np.array_equal(np.sort(perm), identity)
     cur = perm.copy()
     for _ in range(d - 1):
-        assert np.any(cur != np.arange(len(perm)))
+        assert np.all(cur != identity)          # every orbit has d vertices
         cur = perm[cur]
-    assert np.array_equal(cur, np.arange(len(perm)))
+    assert np.array_equal(cur, identity)
 
 
 def test_lift_lengths_bitwise_equal(base_r0, small_cover):
@@ -87,10 +139,15 @@ def test_pieces_partition_faces(small_cover):
 
 
 def test_deck_shifts_pieces_cyclically(small_cover):
-    # deck^N maps piece i onto piece i+1 (cyclically); N=1 here
-    moved = small_cover.piece[small_cover.deck_face]
-    expect = small_cover.piece % (small_cover.n + 1) + 1
-    assert np.array_equal(moved, expect)
+    # deck^N maps piece i onto piece i+1 and lift i onto lift i+1
+    # (cyclically); N=1 here
+    nn = small_cover.n + 1
+    expect = small_cover.piece % nn + 1
+    assert np.array_equal(shifted(small_cover, small_cover.piece), expect)
+    deck = small_cover.deck_vertex
+    for i, lift in enumerate(small_cover.lifts):
+        nxt = small_cover.lifts[(i + 1) % nn]
+        assert tuple(deck[list(lift.vertices)].tolist()) == nxt.vertices
 
 
 def test_cover_rejects_bad_arguments(base_r0):
@@ -112,7 +169,6 @@ def test_cover_rejects_separating_curve(base_r0):
 def test_cover_of_refined_base(base_levels):
     surface, gamma = base_levels[1]
     cover = cyclic_cover(surface, gamma, n=2, N=2)
-    verify_deck_symmetry(cover)
     assert cover.surface.genus == 7
     assert abs(cover.surface.total_area() - 6 * 4 * math.pi) <= 1e-7
 

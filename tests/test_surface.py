@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypspectra.surface import (CurveError, FenchelNielsenSpec, MeshError,
                                 TriangulatedSurface, build_surface,
                                 curve_from_vertex_cycle, cut_along, read_hypmesh,
-                                surfaces_combinatorially_equal, write_hypmesh)
+                                write_hypmesh)
 from oracles import FROZEN, close
 
 cuff = st.floats(min_value=0.8, max_value=3.5, allow_nan=False)
@@ -98,7 +98,9 @@ def test_twist_wraps_modulo_m(base_r0):
                                             twists=(3, 0, 0), segments=m))
     b, _ = build_surface(FenchelNielsenSpec(cuff_lengths=(2.0, 2.0, 2.0),
                                             twists=(3 + m, -m, 2 * m), segments=m))
-    assert surfaces_combinatorially_equal(a, b)
+    assert np.array_equal(a.faces, b.faces)
+    assert np.array_equal(a.lengths, b.lengths)
+    assert np.array_equal(a.glue, b.glue)
 
 
 def test_fenchel_nielsen_spec_validation():
@@ -231,10 +233,10 @@ def test_hypmesh_roundtrip(tmp_path, base_r0):
     first = path.read_bytes()
     write_hypmesh(path, surface, curves={"gamma": gamma})
     assert path.read_bytes() == first       # deterministic bytes
-    back, curves, cover_info = read_hypmesh(path)
-    assert cover_info is None
-    assert surfaces_combinatorially_equal(surface, back)
-    assert np.allclose(back.lengths, surface.lengths, rtol=0, atol=0)
+    back, curves = read_hypmesh(path)
+    assert np.array_equal(back.faces, surface.faces)
+    assert np.array_equal(back.lengths, surface.lengths)
+    assert np.array_equal(back.glue, surface.glue)
     assert curves["gamma"].edges == gamma.edges
     assert curves["gamma"].length == gamma.length
 
@@ -297,90 +299,23 @@ def test_hypmesh_rejects_bad_glue_target(tmp_path, base_r0):
         read_hypmesh(bad)
 
 
-def _cover_lines(tmp_path, cover):
-    path = tmp_path / "cover.hypmesh"
-    write_hypmesh(path, cover.surface, curves={"lift": cover.lifts[0]}, cover=cover)
-    return path.read_text().splitlines()
-
-
-def test_hypmesh_cover_roundtrip(tmp_path, small_cover):
-    _write_lines(tmp_path / "back.hypmesh", _cover_lines(tmp_path, small_cover))
-    _, curves, info = read_hypmesh(tmp_path / "back.hypmesh")
-    assert info["degree"] == small_cover.degree
-    assert np.array_equal(info["deck_face"], small_cover.deck_face)
-    for i, members in info["pieces"].items():
-        assert np.array_equal(members, np.flatnonzero(small_cover.piece == i))
-    assert [lift.edges for lift in info["lifts"]] == [lift.edges for lift in small_cover.lifts]
-    assert curves["lift"].edges == small_cover.lifts[0].edges
-
-
 @pytest.mark.parametrize("block, offset, text, message", [
     ("CURVE", 0, "CURVE lift eight", "integer"),
     ("CURVE", 0, "CURVE lift", "expected 'CURVE"),
     ("CURVE", 1, "3 side", "integer"),
-    ("DECK", 0, "DECK 3.0", "integer"),
-    ("DECK", 1, "1.5", "integer"),
-    ("DECK", 1, "100000", "does not exist"),
-    ("PIECE", 0, "PIECE 1 many", "integer"),
-    ("PIECE", 0, "PIECE 1", "expected 'PIECE"),
-    ("PIECE", 1, "face", "integer"),
-    ("LIFT", 0, "LIFT one 8", "integer"),
-    ("LIFT", 0, "LIFT 1 -8", "negative"),
-    ("LIFT", 1, "0 x", "integer"),
+    ("CURVE", 0, "CURVE lift -8", "negative"),
+    ("CURVE", 1, "100000 0", "does not exist"),
 ])
-def test_hypmesh_rejects_malformed_blocks(tmp_path, small_cover, block, offset, text,
-                                          message):
-    lines = _cover_lines(tmp_path, small_cover)
+def test_hypmesh_rejects_malformed_blocks(tmp_path, base_r0, block, offset, text, message):
+    surface, gamma = base_r0
+    good = tmp_path / "good.hypmesh"
+    write_hypmesh(good, surface, curves={"gamma": gamma})
+    lines = good.read_text().splitlines()
     at = next(i for i, ln in enumerate(lines) if ln.split()[0] == block) + offset
     lines[at] = text
     bad = tmp_path / "bad.hypmesh"
     _write_lines(bad, lines)
     with pytest.raises(MeshError, match=f"^line {at + 1}: .*{message}"):
-        read_hypmesh(bad)
-
-
-def test_hypmesh_rejects_deck_that_is_not_a_permutation(tmp_path, small_cover):
-    lines = _cover_lines(tmp_path, small_cover)
-    deck = next(i for i, ln in enumerate(lines) if ln.startswith("DECK"))
-    lines[deck + 2] = lines[deck + 1]
-    bad = tmp_path / "bad.hypmesh"
-    _write_lines(bad, lines)
-    with pytest.raises(MeshError, match=f"^line {deck + 1}: DECK is not a permutation"):
-        read_hypmesh(bad)
-
-
-def _piece_header(lines, idx):
-    return next(i for i, ln in enumerate(lines) if ln.startswith(f"PIECE {idx} "))
-
-
-def _pieces_with_face_twice(lines):
-    lines[_piece_header(lines, 2) + 1] = lines[_piece_header(lines, 1) + 1]
-
-
-def _pieces_missing_a_face(lines):
-    at = _piece_header(lines, 3)
-    count = int(lines[at].split()[2])
-    lines[at] = f"PIECE 3 {count - 1}"
-    del lines[at + count]
-
-
-def _pieces_with_repeated_index(lines):
-    at = _piece_header(lines, 3)
-    lines[at] = lines[at].replace("PIECE 3", "PIECE 2")
-
-
-@pytest.mark.parametrize("mangle, message", [
-    (_pieces_with_face_twice, "is in more than one PIECE"),
-    (_pieces_missing_a_face, "is in no PIECE"),
-    (_pieces_with_repeated_index, "piece 2 is listed twice"),
-])
-def test_hypmesh_rejects_pieces_that_do_not_partition(tmp_path, small_cover, mangle,
-                                                     message):
-    lines = _cover_lines(tmp_path, small_cover)
-    mangle(lines)
-    bad = tmp_path / "bad.hypmesh"
-    _write_lines(bad, lines)
-    with pytest.raises(MeshError, match=message):
         read_hypmesh(bad)
 
 
