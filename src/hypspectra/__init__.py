@@ -11,7 +11,7 @@ from .eigen import (CharacterSolver, CharacterSpectrum, EigensolverError, Spectr
 from .fem import (SparsePencil, assemble, element_mass, element_stiffness, prolongation,
                   refine)
 from .surface import (CurveError, FenchelNielsenSpec, MeshCurve, MeshError,
-                      TriangulatedSurface, build_surface, curve_from_vertex_cycle,
+                      TriangulatedSurface, build_surface, curve_from_sides,
                       cut_along, read_hypmesh, write_hypmesh)
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "MeshError", "SparsePencil", "SpectrumResult", "TriangulatedSurface",
     "__version__", "assemble", "bound_report", "boundary_distances", "build_surface",
     "collar_data", "collar_width",
-    "curve_from_vertex_cycle", "cut_along", "cyclic_cover", "dense_oracle",
+    "curve_from_sides", "cut_along", "cyclic_cover", "dense_oracle",
     "element_mass", "element_stiffness",
     "minimax_certificate", "piece_ramps", "prolongation", "ramp_quotient", "rayleigh",
     "read_hypmesh", "refine", "residuals", "solve_smallest", "write_hypmesh",

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import CutSurface, MeshCurve, MeshError, TriangulatedSurface, cut_along
+from .surface import (CutSurface, MeshCurve, MeshError, TriangulatedSurface, curve_from_sides,
+                      cut_along)
 
 __all__ = ["CoverError", "CoverSurface", "cyclic_cover"]
 
@@ -41,7 +42,6 @@ class CoverSurface:
     """
 
     surface: TriangulatedSurface
-    base: TriangulatedSurface
     n: int
     N: int
     degree: int
@@ -100,21 +100,14 @@ def cyclic_cover(surface: TriangulatedSurface, curve: MeshCurve, n: int, N: int)
     # Lift i runs along copy (i*N % d)'s left boundary circle.  Cutting
     # the cover along one seam leaves the d copies as a chain, so no lift
     # separates.
-    def lift_curve(i: int) -> MeshCurve:
-        k = (i * N) % d
-        verts = [int(copy_vertex[k, w]) for w in cut.left_vertices]
-        edges = [(int(k * Fc + f), int(s)) for f, s in cut.left_edges]
-        length = float(sum(cover_surface.lengths[f, s] for f, s in edges))
-        return MeshCurve(tuple(verts), tuple(edges), length, separating=False)
-
-    lifts = [lift_curve(i) for i in range(1, n + 2)]
+    lifts = [curve_from_sides(cover_surface, [(k * Fc + f, s) for f, s in cut.left_edges])
+             for k in np.arange(1, n + 2) * N % d]
     for lift in lifts:
         if lift.length != curve.length:
             raise CoverError("lift length deviates from the base curve length")
 
     return CoverSurface(
         surface=cover_surface,
-        base=surface,
         n=n,
         N=N,
         degree=d,

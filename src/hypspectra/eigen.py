@@ -117,7 +117,6 @@ class SpectrumResult:
     iterations: int
     dof: int
     shift: float
-    tol: float
     ncv: int = 0
     lu_fill: int = 0
 
@@ -219,8 +218,7 @@ def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
     if count >= k_max:
         values, vectors = _dense_pairs(K.toarray(), B.toarray(), count)
         res = residuals(K, B, values, vectors)
-        return SpectrumResult(values, vectors, res, iterations=0, dof=n,
-                              shift=sigma, tol=tol)
+        return SpectrumResult(values, vectors, res, iterations=0, dof=n, shift=sigma)
 
     A, options = K - sigma * B, {}
     if order is not None:
@@ -264,7 +262,7 @@ def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
     values, vectors = values[order], vectors[:, order]
     res = residuals(K, B, values, vectors)
     return SpectrumResult(values, vectors, res, iterations=applies, dof=n,
-                          shift=sigma, tol=tol, ncv=ncv, lu_fill=lu.nnz)
+                          shift=sigma, ncv=ncv, lu_fill=lu.nnz)
 
 
 def _dense_pairs(K: np.ndarray, B: np.ndarray, count: int):
@@ -311,8 +309,7 @@ def dense_oracle(pencil, count: int) -> SpectrumResult:
     K, B = pencil.stiffness.tocsr(), pencil.mass.tocsr()
     values, vectors = _dense_pairs(K.toarray(), B.toarray(), count)
     res = residuals(K, B, values, vectors)
-    return SpectrumResult(values, vectors, res, iterations=0,
-                          dof=n, shift=0.0, tol=0.0)
+    return SpectrumResult(values, vectors, res, iterations=0, dof=n, shift=0.0)
 
 
 def _phase_parts(pencil, base_vertex: np.ndarray, seam) -> tuple:

@@ -48,7 +48,7 @@ from scipy.linalg import eigh
 from scipy.sparse import csgraph
 
 from . import hypgeom
-from .surface import CutSurface, MeshCurve, TriangulatedSurface
+from .surface import CutSurface, TriangulatedSurface, curve_from_sides
 
 __all__ = [
     "SparsePencil",
@@ -79,9 +79,9 @@ def refine(surface: TriangulatedSurface, curves=()):
     Child 4f is the central midline triangle of face f; child 4f+1+k
     keeps parent corner k.  `dissection` depends on this numbering: the
     children of face f are 4f..4f+3.  Each curve in `curves` is carried
-    along by replacing every edge with its two halves, and the refined
-    curves are returned in the same order.  Subdivision does not change the
-    topology, so each keeps its `separating` flag.
+    along by replacing every edge with its two halves, so it keeps its
+    vertices, gains the midpoints between them and keeps its length; the
+    refined curves are returned in the same order.
     """
     F = surface.num_faces
     V = surface.num_vertices
@@ -125,18 +125,9 @@ def refine(surface: TriangulatedSurface, curves=()):
 
     refined = TriangulatedSurface(faces, lengths, glue)
 
-    out_curves = []
-    for curve in curves:
-        edges = []
-        verts = []
-        for j, (f, s) in enumerate(curve.edges):
-            edges.append(half1(f, s))
-            edges.append(half2(f, s))
-            verts.append(curve.vertices[j])
-            verts.append(int(mid[f, s]))
-        length = float(sum(refined.lengths[f, s] for f, s in edges))
-        out_curves.append(MeshCurve(tuple(verts), tuple(edges), length,
-                                    separating=curve.separating))
+    out_curves = [curve_from_sides(refined, [h for f, s in curve.edges
+                                             for h in (half1(f, s), half2(f, s))])
+                  for curve in curves]
     return refined, out_curves
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "corner_angles",
     "coshm1",
     "project_tangent",
-    "geodesic_direction",
     "geodesic_point",
     "hexagon_seam_length",
     "hyp_distance",
@@ -73,17 +72,6 @@ def hyp_distance(p, q):
     # nearly coincident points.
     u = np.maximum(minkowski_dot(p, q) - 1.0, 0.0)
     return acosh1p(u)
-
-
-def geodesic_direction(p, q):
-    """Unit tangent at p pointing along the geodesic toward q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    w = q - minkowski_dot(p, q)[..., None] * p
-    nrm2 = -minkowski_dot(w, w)
-    if np.any(nrm2 <= 0):
-        raise GeometryError("cannot take direction between coincident points")
-    return w / np.sqrt(nrm2)[..., None]
 
 
 def geodesic_point(p, u, t):

@@ -8,7 +8,12 @@ ever stored; every geometric quantity is recomputed from lengths.
 Side convention: side k of face (v0, v1, v2) is the edge opposite corner
 k, directed (v_{k+1} -> v_{k+2}).  All faces are kept coherently
 oriented, so each undirected edge appears exactly once in each
-direction and a directed edge identifies a unique (face, side).
+direction.  Two edges may join the same two vertices, so a curve is its
+list of directed sides (face, side), not its vertex cycle.
+
+Cutting along a curve unglues its sides and splits each curve vertex by
+corner classes: the corners of its star that stay joined across glued
+sides.  The class on the right of the curve takes a fresh vertex id.
 
 The genus-2 builder glues two pairs of pants along three cuffs.  Each
 pants is a pair of congruent right-angled hexagons joined along their
@@ -46,7 +51,7 @@ __all__ = [
     "MeshError",
     "TriangulatedSurface",
     "build_surface",
-    "curve_from_vertex_cycle",
+    "curve_from_sides",
     "cut_along",
     "read_hypmesh",
     "write_hypmesh",
@@ -93,7 +98,6 @@ class TriangulatedSurface:
         self.num_vertices = int(self.faces.max()) + 1 if self.num_faces else 0
         self._angles = None
         self._areas = None
-        self._directed = None
         self._vertex_graph = None
         self.validate()
 
@@ -180,20 +184,6 @@ class TriangulatedSurface:
 
     # -- lookup helpers -----------------------------------------------------
 
-    def directed_edge_map(self) -> dict:
-        """dict mapping directed edge (u, v) -> (face, side)."""
-        if self._directed is None:
-            F = self.num_faces
-            m = {}
-            faces = self.faces
-            for s in range(3):
-                heads = faces[:, (s + 1) % 3]
-                tails = faces[:, (s + 2) % 3]
-                for f in range(F):
-                    m[(int(heads[f]), int(tails[f]))] = (f, s)
-            self._directed = m
-        return self._directed
-
     def canonical_sides(self) -> np.ndarray:
         """(E, 2) array of (face, side) pairs, one per undirected edge."""
         gf, gs = self.glue[..., 0], self.glue[..., 1]
@@ -216,19 +206,22 @@ class TriangulatedSurface:
         return self._vertex_graph
 
     def face_adjacency(self, exclude_sides=()) -> sparse.csr_matrix:
-        """Unweighted face adjacency; `exclude_sides` sides are not crossed."""
-        # One entry per side: every side is glued, so each edge enters once
-        # from each of its two sides and the matrix comes out symmetric.
-        cross = np.ones((self.num_faces, 3), dtype=bool)
+        """Unweighted face adjacency; `exclude_sides` sides are not crossed.
+
+        Row f stores one float entry per side of face f, in side order: 1
+        at the face across it, or 0 on the diagonal if it is not crossed.
+        Every side is glued, so the matrix is symmetric; it needs no
+        sorting, and csgraph reads its float data without a copy.
+        """
+        n = self.num_faces
+        cross = np.ones((n, 3))
         excl = np.asarray(exclude_sides, dtype=np.int64).reshape(-1, 2)
         partner = self.glue[excl[:, 0], excl[:, 1]]
-        cross[excl[:, 0], excl[:, 1]] = False
-        cross[partner[:, 0], partner[:, 1]] = False
-        f, s = np.nonzero(cross)
-        g = self.glue[f, s, 0]
-        ones = np.ones(len(f), dtype=np.int8)
-        n = self.num_faces
-        return sparse.coo_matrix((ones, (f, g)), shape=(n, n)).tocsr()
+        cross[excl[:, 0], excl[:, 1]] = 0
+        cross[partner[:, 0], partner[:, 1]] = 0
+        across = np.where(cross, self.glue[..., 0], np.arange(n)[:, None])
+        return sparse.csr_matrix((cross.ravel(), across.ravel(), np.arange(0, 3 * n + 1, 3)),
+                                 shape=(n, n))
 
 
 def _length_graph(faces, lengths, f, s, num_vertices) -> sparse.csr_matrix:
@@ -250,39 +243,37 @@ def _length_graph(faces, lengths, f, s, num_vertices) -> sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class MeshCurve:
-    """A closed simple cycle of mesh edges, stored as oriented (face, side) pairs."""
+    """A closed simple cycle of mesh edges; made by `curve_from_sides`.
+
+    edges[j] = (face, side) is the directed side from vertices[j] to
+    vertices[j+1] (cyclically), and length is the sum of their lengths.
+    """
 
     vertices: tuple
     edges: tuple
     length: float
-    separating: bool
-
-    def __post_init__(self):
-        if len(self.vertices) != len(self.edges):
-            raise CurveError("a closed curve has as many vertices as edges")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise CurveError("curve visits a vertex twice (not simple)")
 
 
-def curve_from_vertex_cycle(surface: TriangulatedSurface, vertices) -> MeshCurve:
-    """Resolve a cyclic vertex sequence into a MeshCurve on `surface`."""
-    verts = [int(v) for v in vertices]
-    if len(verts) < 2:
+def curve_from_sides(surface: TriangulatedSurface, sides) -> MeshCurve:
+    """The closed simple curve along the directed sides (face, side) of `surface`.
+
+    The sides are taken exactly as given, so parallel edges between the
+    same two vertices stay apart.  Raises CurveError unless each side
+    ends where the next begins, the last where the first begins, and no
+    vertex is visited twice.
+    """
+    edges = tuple((int(f), int(s)) for f, s in sides)
+    if len(edges) < 2:
         raise CurveError("a closed curve needs at least two edges")
-    dmap = surface.directed_edge_map()
-    edges = []
-    for j, w in enumerate(verts):
-        w2 = verts[(j + 1) % len(verts)]
-        try:
-            edges.append(dmap[(w, w2)])
-        except KeyError:
-            raise CurveError(f"no mesh edge from vertex {w} to {w2}") from None
+    faces = surface.faces
+    verts = tuple(int(faces[f, (s + 1) % 3]) for f, s in edges)
+    if any(int(faces[f, (s + 2) % 3]) != verts[(j + 1) % len(verts)]
+           for j, (f, s) in enumerate(edges)):
+        raise CurveError("edges do not chain into a closed cycle")
+    if len(set(verts)) != len(verts):
+        raise CurveError("curve visits a vertex twice (not simple)")
     length = float(sum(surface.lengths[f, s] for f, s in edges))
-    adj = surface.face_adjacency(exclude_sides=edges)
-    ncomp = csgraph.connected_components(adj, directed=False, return_labels=False)
-    if ncomp > 2:
-        raise CurveError("cutting the curve disconnects the surface into more than two parts")
-    return MeshCurve(tuple(verts), tuple(edges), length, separating=bool(ncomp == 2))
+    return MeshCurve(verts, edges, length)
 
 
 # -- Fenchel-Nielsen builder -------------------------------------------------
@@ -443,7 +434,7 @@ def build_surface(spec: FenchelNielsenSpec):
         same.append((v0, v1[(tw - k) % m]))
         glue_pair(e0, 0, e1[(tw - k - 1) % m], 0)
         if ci == 0:
-            gamma_cycle = v0
+            gamma_faces = e0
 
     # Surface vertices are the classes of `same`, numbered in the order of
     # their smallest hexagon vertex.
@@ -453,7 +444,7 @@ def build_surface(spec: FenchelNielsenSpec):
     _, label = csgraph.connected_components(merge, directed=False)
 
     surface = TriangulatedSurface(label[faces], lengths, glue)
-    gamma = curve_from_vertex_cycle(surface, label[gamma_cycle])
+    gamma = curve_from_sides(surface, [(f, 0) for f in gamma_faces])
     if abs(gamma.length - l1) > CURVE_LENGTH_TOL:
         raise MeshError(f"cuff curve length {gamma.length!r} deviates from {l1!r}")
     return surface, gamma
@@ -494,61 +485,51 @@ class CutSurface:
         return _length_graph(self.faces, self.lengths, f, s, self.num_vertices)
 
 
-def _star_sectors(surface: TriangulatedSurface, j: int, curve: MeshCurve):
-    """Split the faces around curve vertex j into left/right sectors.
-
-    Walks clockwise from the face left of the outgoing curve edge; the
-    left sector is everything collected before the walk crosses the
-    incoming curve edge.
-    """
-    faces, glue = surface.faces, surface.glue
-    f_out, s_out = curve.edges[j]
-    prev = curve.edges[(j - 1) % len(curve.edges)]
-    prev_pair = {tuple(prev), tuple(int(x) for x in glue[prev[0], prev[1]])}
-    f, c = f_out, (s_out + 1) % 3
-    left, right = [], []
-    bucket = left
-    for _ in range(3 * surface.num_faces):
-        bucket.append((f, c))
-        crossed = (f, (c + 1) % 3)
-        g, r = (int(x) for x in glue[crossed[0], crossed[1]])
-        if tuple(crossed) in prev_pair or (g, r) in prev_pair:
-            bucket = right
-        f, c = g, (r + 1) % 3
-        if (f, c) == (f_out, (s_out + 1) % 3):
-            break
-    else:
-        raise MeshError("vertex star walk failed to close")
-    return left, right
-
-
 def cut_along(surface: TriangulatedSurface, curve: MeshCurve) -> CutSurface:
-    """Cut a closed surface open along a non-separating simple curve."""
-    if curve.separating:
+    """Cut a closed surface open along a non-separating simple curve.
+
+    With the curve's sides unglued, the corners at curve vertex j that
+    stay joined across glued sides form two classes.  The class holding
+    the corner of right_edges[j] at vertex j takes the fresh id V+j; the
+    class left of the curve keeps the vertex's id.
+    """
+    adj = surface.face_adjacency(exclude_sides=curve.edges)
+    if csgraph.breadth_first_order(adj, 0, return_predecessors=False).size < surface.num_faces:
         raise CurveError("curve is separating; cutting would disconnect the surface")
     faces = surface.faces.copy()
     glue = surface.glue.copy()
     V = surface.num_vertices
     c = len(curve.edges)
-    right_edges = []
-    for j, (f, s) in enumerate(curve.edges):
-        g, r = (int(x) for x in glue[f, s])
-        right_edges.append((g, r))
-        glue[f, s] = (-1, -1)
-        glue[g, r] = (-1, -1)
-    for j, w in enumerate(curve.vertices):
-        _, right = _star_sectors(surface, j, curve)
-        for (f, cc) in right:
-            if faces[f, cc] != w:
-                raise MeshError("star walk visited a face not containing the vertex")
-            faces[f, cc] = V + j
+    left = np.array(curve.edges, dtype=np.int64)
+    right = glue[left[:, 0], left[:, 1]]
+    glue[left[:, 0], left[:, 1]] = -1
+    glue[right[:, 0], right[:, 1]] = -1
+    # The corners of the curve vertices' stars, numbered in (face, corner)
+    # order.  Crossing side k+2 of face f from corner k lands on corner r+2
+    # of the side r it is glued to.
+    on_curve = np.zeros(V, dtype=bool)
+    on_curve[list(curve.vertices)] = True
+    f, k = np.nonzero(on_curve[faces])
+    corner = 3 * f + k
+    g, r = glue[f, (k + 2) % 3].T
+    crossed = np.flatnonzero(g >= 0)
+    n = len(corner)
+    to = np.searchsorted(corner, 3 * g[crossed] + (r[crossed] + 2) % 3)
+    join = sparse.coo_matrix((np.ones(len(crossed)), (crossed, to)), shape=(n, n))
+    _, label = csgraph.connected_components(join, directed=False)
+    fresh = np.full(n, -1, dtype=np.int64)
+    right_corner = np.searchsorted(corner, 3 * right[:, 0] + (right[:, 1] + 2) % 3)
+    fresh[label[right_corner]] = V + np.arange(c)
+    new_id = fresh[label]
+    moved = new_id >= 0
+    faces[f[moved], k[moved]] = new_id[moved]
     cut = CutSurface(
         faces=faces,
         lengths=surface.lengths.copy(),
         glue=glue,
         num_vertices=V + c,
         left_edges=list(curve.edges),
-        right_edges=right_edges,
+        right_edges=[(int(g), int(r)) for g, r in right],
         left_vertices=list(curve.vertices),
         right_vertices=[V + j for j in range(c)],
         base_vertex=np.concatenate([np.arange(V), np.array(curve.vertices, dtype=np.int64)]),
@@ -625,8 +606,9 @@ def read_hypmesh(path):
     """Parse a HYPMESH file.
 
     Returns (surface, curves), curves mapping each CURVE block's name
-    to its MeshCurve.  Malformed input raises MeshError with the
-    offending line number.
+    to the MeshCurve along exactly the sides it lists.  Malformed input
+    raises MeshError with the offending line number, or with the name
+    of a CURVE whose sides do not form a closed simple curve.
     """
     rd = _LineReader(path)
     no, ln = rd.next("header")
@@ -706,9 +688,8 @@ def read_hypmesh(path):
             if not (0 <= f < nf and 0 <= s < 3):
                 raise MeshError(f"line {no}: side {f} {s} does not exist")
             sides.append((f, s))
-        verts = [int(faces[f, (s + 1) % 3]) for f, s in sides]
-        if any(int(faces[f, (s + 2) % 3]) != verts[(j + 1) % cnt]
-               for j, (f, s) in enumerate(sides)):
-            raise MeshError(f"CURVE {name}: edges do not chain into a closed cycle")
-        curves[name] = curve_from_vertex_cycle(surface, verts)
+        try:
+            curves[name] = curve_from_sides(surface, sides)
+        except CurveError as e:
+            raise MeshError(f"CURVE {name}: {e}") from None
     return surface, curves

@@ -104,6 +104,6 @@ def paired_phases_miss_lowest(monkeypatch):
             return result
         return SpectrumResult(result.values[1:], result.vectors[:, 1:],
                               result.residuals[1:], result.iterations, result.dof,
-                              result.shift, result.tol)
+                              result.shift)
 
     monkeypatch.setattr(eigen, "_shift_invert", shift_invert)

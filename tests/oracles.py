@@ -13,6 +13,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from hypspectra.eigen import dense_oracle
 from hypspectra.fem import SparsePencil
+from hypspectra.hypgeom import GeometryError, minkowski_dot
 
 FROZEN = {
     # equilateral triangle, all sides 1
@@ -96,3 +97,14 @@ def colamd_smallest(pencil, count, tol=1e-9, seed=0):
     values = eigsh(K, k=count + 2, M=B, sigma=sigma, OPinv=opinv, v0=v0,
                    ncv=max(4 * (count + 2) + 1, 40), tol=tol, return_eigenvectors=False)
     return np.sort(values)[:count], lu.nnz
+
+
+def geodesic_direction(p, q):
+    """Unit tangent at p pointing along the geodesic toward q (hyperboloid model)."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    w = q - minkowski_dot(p, q)[..., None] * p
+    nrm2 = -minkowski_dot(w, w)
+    if np.any(nrm2 <= 0):
+        raise GeometryError("cannot take direction between coincident points")
+    return w / np.sqrt(nrm2)[..., None]

@@ -108,9 +108,9 @@ def test_criterion_5_structural_invariants(base_levels, sweep_rows):
     for surface, _ in base_levels:
         assert abs(surface.total_area() - BASE_AREA) <= 1e-8
         assert surface.euler_characteristic() == -2
+    base, _ = base_levels[2]           # the sweep's base
     for N, row in sorted(sweep_rows.items()):
         cover = row["cover"]
-        base = cover.base
         assert (cover.surface.euler_characteristic()
                 == cover.degree * base.euler_characteristic())
         areas = cover.surface.triangle_areas()

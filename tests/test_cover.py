@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse import csgraph
 
 from hypspectra.cover import CoverError, cyclic_cover
-from hypspectra.surface import curve_from_vertex_cycle
+from hypspectra.surface import CurveError, curve_from_sides
 
 # SHA-256 prefixes of every array a cover carries, recorded from a
 # construction whose covers all passed an explicit check of the deck
@@ -109,7 +109,6 @@ def test_no_lift_separates_the_cover(base_r0, n, N):
     for lift in cover.lifts:
         adj = cover.surface.face_adjacency(exclude_sides=lift.edges)
         assert csgraph.connected_components(adj, directed=False)[0] == 1
-        assert not lift.separating
 
 
 def test_lifts_are_pairwise_disjoint(small_cover):
@@ -160,9 +159,8 @@ def test_cover_rejects_bad_arguments(base_r0):
 
 def test_cover_rejects_separating_curve(base_r0):
     surface, _ = base_r0
-    triangle = curve_from_vertex_cycle(surface, surface.faces[0].tolist())
-    assert triangle.separating
-    with pytest.raises((CoverError, ValueError)):
+    triangle = curve_from_sides(surface, [(0, 0), (0, 1), (0, 2)])
+    with pytest.raises(CurveError, match="curve is separating"):
         cyclic_cover(surface, triangle, n=1, N=1)
 
 

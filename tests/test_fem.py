@@ -12,7 +12,8 @@ from hypspectra.bound import rayleigh
 from hypspectra.fem import (_canonical_sum, assemble, bisection_codes, dissection,
                             element_mass, element_stiffness, prolongation, refine)
 from hypspectra.hypgeom import GeometryError, triangle_areas
-from hypspectra.surface import FenchelNielsenSpec, build_surface, curve_from_vertex_cycle
+from hypspectra.surface import (CurveError, FenchelNielsenSpec, build_surface, curve_from_sides,
+                                cut_along)
 from oracles import canonical_csr_lexsort
 
 side = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)
@@ -40,7 +41,6 @@ def test_refine_carries_curve_exactly(base_r0):
     refined, (rgamma,) = refine(surface, [gamma])
     assert len(rgamma.edges) == 2 * len(gamma.edges)
     assert rgamma.length == gamma.length       # halves sum back exactly
-    assert not rgamma.separating
     # original curve vertices survive with the same ids
     assert set(gamma.vertices) <= set(rgamma.vertices)
 
@@ -48,14 +48,15 @@ def test_refine_carries_curve_exactly(base_r0):
 def test_refine_keeps_curve_topology(base_r0):
     # gamma is non-separating; the boundary of face 0 separates
     surface, gamma = base_r0
-    triangle = curve_from_vertex_cycle(surface, surface.faces[0].tolist())
-    refined, curves = refine(surface, [gamma, triangle])
-    for before, after in zip([gamma, triangle], curves):
-        assert after.separating == before.separating
-        adj = refined.face_adjacency(exclude_sides=after.edges)
-        ncomp = csgraph.connected_components(adj, directed=False)[0]
-        assert ncomp == (2 if before.separating else 1)
-    assert curves[1].separating
+    triangle = curve_from_sides(surface, [(0, 0), (0, 1), (0, 2)])
+    refined, (rgamma, rtriangle) = refine(surface, [gamma, triangle])
+    for curve, parts in ((rgamma, 1), (rtriangle, 2)):
+        adj = refined.face_adjacency(exclude_sides=curve.edges)
+        assert csgraph.connected_components(adj, directed=False)[0] == parts
+    cut = cut_along(refined, rgamma)
+    assert cut.num_vertices == refined.num_vertices + len(rgamma.edges)
+    with pytest.raises(CurveError, match="curve is separating"):
+        cut_along(refined, rtriangle)
 
 
 def test_refine_twice_composes(base_levels):

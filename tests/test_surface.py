@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypspectra.fem import refine
 from hypspectra.surface import (CurveError, FenchelNielsenSpec, MeshError,
-                                TriangulatedSurface, build_surface,
-                                curve_from_vertex_cycle, cut_along, read_hypmesh,
-                                write_hypmesh)
+                                TriangulatedSurface, build_surface, curve_from_sides,
+                                cut_along, read_hypmesh, write_hypmesh)
 from oracles import FROZEN, close
 
 cuff = st.floats(min_value=0.8, max_value=3.5, allow_nan=False)
@@ -34,7 +34,6 @@ def test_default_build_counts(base_r0):
     assert surface.euler_characteristic() == -2
     assert surface.genus == 2
     assert gamma.length == 2.0          # eight arcs of exactly 1/4
-    assert not gamma.separating
     assert close(surface.total_area(), FROZEN["area_genus2"], rel=1e-12)
 
 
@@ -53,7 +52,7 @@ def test_builder_invariants(l1, l2, l3, t1, t2, t3, m):
     surface, gamma = build_surface(spec)   # validates internally
     assert surface.genus == 2
     assert abs(gamma.length - l1) <= 1e-9 * max(1.0, l1)
-    assert not gamma.separating
+    cut_along(surface, gamma)              # raises if gamma separates
     assert abs(surface.total_area() - 4 * math.pi) <= 1e-8
 
 
@@ -182,28 +181,25 @@ def test_validate_rejects_self_gluing(base_r0):
 
 # -- curves -------------------------------------------------------------------
 
-def test_curve_from_vertex_cycle_roundtrip(base_r0):
+def test_curve_from_sides_roundtrip(base_r0):
     surface, gamma = base_r0
-    again = curve_from_vertex_cycle(surface, gamma.vertices)
-    assert again.vertices == gamma.vertices
-    assert again.edges == gamma.edges
-    assert again.length == gamma.length
-    assert again.separating == gamma.separating
+    again = curve_from_sides(surface, gamma.edges)
+    assert again == gamma
+    assert again.vertices == tuple(int(surface.faces[f, (s + 1) % 3]) for f, s in gamma.edges)
 
 
-def test_curve_rejects_non_adjacent_vertices(base_r0):
+def test_curve_rejects_sides_that_do_not_chain(base_r0):
     surface, gamma = base_r0
-    verts = list(gamma.vertices)
-    far = next(v for v in range(surface.num_vertices) if v not in verts)
-    with pytest.raises(CurveError):
-        curve_from_vertex_cycle(surface, [verts[0], far, verts[1]])
+    sides = list(gamma.edges)
+    for broken in (sides[:-1], sides[1:2] + sides[0:1] + sides[2:]):
+        with pytest.raises(CurveError, match="do not chain"):
+            curve_from_sides(surface, broken)
 
 
 def test_curve_rejects_repeated_vertex(base_r0):
     surface, gamma = base_r0
-    verts = list(gamma.vertices)
-    with pytest.raises(CurveError):
-        curve_from_vertex_cycle(surface, verts + [verts[0]])
+    with pytest.raises(CurveError, match="vertex twice"):
+        curve_from_sides(surface, 2 * list(gamma.edges))
 
 
 # -- cutting ------------------------------------------------------------------
@@ -224,6 +220,34 @@ def test_cut_along_doubles_curve_vertices(base_r0):
     assert min(cut.right_vertices) >= surface.num_vertices
 
 
+# Frozen digests of cut_along's output (faces, glue, right_edges and
+# base_vertex) along gamma on the builder's specs, at refinement 0, 1, 2.
+CUT_DIGESTS = [
+    ((2.0, 2.0, 2.0), (0, 0, 0), 8,
+     ("5231c787ba4c6d4a", "5ed7ebad5585bf6a", "89f300d6cc9c1d85")),
+    ((1.0, 3.0, 5.0), (1, 2, 3), 12,
+     ("dd67573cb51ce2a6", "b44795045d8715b0", "4c3374f6bdf40691")),
+    ((0.05, 2.0, 2.0), (-3, 5, 0), 4,
+     ("4575925f8d0fd9be", "3df552e52e1e3153", "15df6b224b1bce43")),
+    ((6.0, 6.0, 6.0), (7, -1, 2), 16,
+     ("0a939fc60b840048", "69e1d7fb251c4de0", "208ca1c62cfefc36")),
+    ((0.3, 1.0, 4.0), (0, 0, 0), 32,
+     ("7827d1db50298989", "5a2964eb2a332e3d", "0655c804693a2eed")),
+    ((2.0, 2.0, 2.0), (3, 0, 0), 6,
+     ("943fc98bce55454c", "566aa83161e9e9ca", "aacceaefeff35c8a")),
+]
+
+
+@pytest.mark.parametrize("cuffs, twists, m, digests", CUT_DIGESTS)
+def test_cut_output_is_frozen(cuffs, twists, m, digests):
+    surface, gamma = build_surface(FenchelNielsenSpec(cuffs, twists, m))
+    for level, digest in enumerate(digests):
+        if level:
+            surface, (gamma,) = refine(surface, [gamma])
+        cut = cut_along(surface, gamma)
+        assert int_digest(cut.faces, cut.glue, cut.right_edges, cut.base_vertex) == digest
+
+
 # -- HYPMESH ------------------------------------------------------------------
 
 def test_hypmesh_roundtrip(tmp_path, base_r0):
@@ -239,6 +263,21 @@ def test_hypmesh_roundtrip(tmp_path, base_r0):
     assert np.array_equal(back.glue, surface.glue)
     assert curves["gamma"].edges == gamma.edges
     assert curves["gamma"].length == gamma.length
+
+
+def test_hypmesh_keeps_curve_sides_on_parallel_edges(tmp_path):
+    # With m = 4 the cuffs carry parallel edges: sides (20, 0) and (29, 0)
+    # run between the same vertices as (2, 0) and (11, 0).
+    surface, _ = build_surface(FenchelNielsenSpec((6.0, 6.0, 6.0), (0, 0, 0), 4))
+    path = tmp_path / "parallel.hypmesh"
+    write_hypmesh(path, surface)
+    with open(path, "a") as fh:
+        fh.write("CURVE c 2\n2 0\n11 0\n")
+    written = path.read_bytes()
+    back, curves = read_hypmesh(path)
+    assert curves["c"].edges == ((2, 0), (11, 0))
+    write_hypmesh(path, back, curves=curves)
+    assert path.read_bytes() == written
 
 
 def test_hypmesh_header_comment_records_area(tmp_path, base_r0):
