@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph
 
-from .hypgeom import triangle_areas
 from .surface import CutSurface, TriangulatedSurface
 
 __all__ = [
@@ -196,14 +195,13 @@ def _check_supports(cut: CutSurface, vectors: np.ndarray, copies: np.ndarray) ->
                              "it shares with the neighbouring piece")
 
 
-def ramp_quotient(cut: CutSurface, pencil, N: int,
+def ramp_quotient(cut: CutSurface, pencil, dist: np.ndarray, N: int,
                   variant: str = "two-sided") -> tuple[CollarData, float]:
     """(collar data, Rayleigh quotient) of each piece's ramp, N copies per piece.
 
-    `pencil` is assembled on `cut`.  Two Dijkstra runs on the cut
-    surface give the ramp; its support check runs before the quotient.
+    `pencil` is assembled on `cut`, and `dist` is `boundary_distances(cut)`,
+    which serves every N.  The ramp's support check runs before the quotient.
     """
-    dist = boundary_distances(cut)
     collar = collar_data(cut, dist, N)
     vectors, copies = piece_ramps(cut, collar, dist, N, variant)
     _check_supports(cut, vectors, copies)
@@ -295,20 +293,23 @@ class BoundReport:
 
 
 def bound_report(cut: CutSurface, pencil, spectrum, n: int, N: int,
-                 variant: str = "two-sided") -> BoundReport:
+                 variant: str = "two-sided", *, dist: np.ndarray,
+                 base_area: float) -> BoundReport:
     """The full certification report for the cover with n+1 pieces of N copies.
 
     `pencil` is assembled on `cut`, the base cut open along the curve,
-    and the cover is never built (`ramp_quotient`).  Each cut vertex
-    lands on one cover vertex, so trace(K) over the base vertex count is
-    the cover's trace(K)/dof.
+    and the cover is never built (`ramp_quotient`).  `dist` is
+    `boundary_distances(cut)` and `base_area` the area of the base (or
+    of `cut`, the same triangles); both are the same for every N, so a
+    sweep computes them once for all its rows.  Each cut vertex lands
+    on one cover vertex, so trace(K) over the base vertex count is the
+    cover's trace(K)/dof.
     """
     if len(spectrum.values) < n + 1:
         raise BoundError(f"need at least {n + 1} eigenvalues, got {len(spectrum.values)}")
-    collar, quotient = ramp_quotient(cut, pencil, N, variant)
+    collar, quotient = ramp_quotient(cut, pencil, dist, N, variant)
 
     l = cut.curve_length
-    base_area = float(triangle_areas(cut.lengths).sum())
     h = (n + 1) * l / (N * base_area)
     eta, t = collar.eta, collar.t
     bound = 2.0 / eta * (h + h * h)

@@ -37,8 +37,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import __version__
-from .bound import (RAMP_CAP, BoundError, CollarData, bound_report, collar_width,
-                    distance_to_curves, minimax_certificate, ramp_quotient)
+from .bound import (RAMP_CAP, BoundError, CollarData, bound_report, boundary_distances,
+                    collar_width, distance_to_curves, minimax_certificate, ramp_quotient)
 from .cover import cyclic_cover
 from .eigen import CharacterSolver, EigensolverError, dense_oracle, solve_smallest
 from .fem import (SparsePencil, assemble, bisection_codes, dissection, prolongation,
@@ -233,14 +233,19 @@ def _sweep_rows(config: RunConfig):
 
     The pencil is assembled once per sweep, on the base cut open along
     gamma, and no cover is built.  The eigenvalues come from its
-    character pencils, each phase solved at most once per sweep and only
-    where an eigenvalue lies below the row's slicing shift.  The
-    certificate takes the ramps copy by copy on it, as base-level
-    vectors.  A row's dof is the cover's vertex count, d times the base's.
+    character pencils: a row solves a few low phases for at least n+2
+    eigenvalues in all, one per phase once d >= n+2, and then each
+    phase for as many eigenvalues as it has below the row's slicing
+    shift; a phase an earlier row solved for as many is not solved
+    again.  The certificate takes the ramps copy by copy on the cut, as
+    base-level vectors, from its distances to the two boundary circles,
+    which are computed once per sweep.  A row's dof is the cover's
+    vertex count, d times the base's.
     """
     base, gamma = _base_pipeline(config)
     cut = cut_along(base, gamma)
     cut_pencil, solver = _character_solver(cut, config)
+    dist, base_area = boundary_distances(cut), base.total_area()
     chash = config_hash(config)
     rows = []
     for N in sorted(set(config.N)):
@@ -250,7 +255,7 @@ def _sweep_rows(config: RunConfig):
         try:
             spectrum = solver.spectrum(d)
             report = bound_report(cut, cut_pencil, spectrum, config.n, N,
-                                  variant=config.testfn)
+                                  variant=config.testfn, dist=dist, base_area=base_area)
         except (EigensolverError, BoundError) as e:
             row["failed"] = True
             row["error"] = str(e)
@@ -596,14 +601,14 @@ def cmd_oracle_check(config: RunConfig) -> int:
     # covers a lone copy, rise and fall copies, and a middle copy.
     base, gamma = _base_pipeline(config)
     cut = cut_along(base, gamma)
-    cut_pencil = assemble(cut, mass=config.mass)
+    cut_pencil, dist = assemble(cut, mass=config.mass), boundary_distances(cut)
     worst, same_collar = 0.0, True
     for N in range(1, 5):
         cover = cyclic_cover(base, gamma, n=config.n, N=N)
         collar, fs = _cover_ramps(cover, _lift_distances(cover), config.testfn)
         reference, _ = minimax_certificate(assemble(cover.surface, mass=config.mass),
                                            fs, cover.surface.faces)
-        base_collar, quotient = ramp_quotient(cut, cut_pencil, N, config.testfn)
+        base_collar, quotient = ramp_quotient(cut, cut_pencil, dist, N, config.testfn)
         same_collar &= base_collar == collar
         worst = max(worst, abs(quotient - reference) / reference)
     check("base_vs_cover_certificate", same_collar and worst <= 1e-12,

@@ -23,10 +23,11 @@ w = exp(2 pi i k / d), and the functions of character k are determined
 by their values on one copy of the cut surface, with phase w across the
 seam.  So character k is a Hermitian pencil over the base vertices,
 built from the cut surface's pencil, and fixed by the phase k/d: covers
-of any degree share it, and it is solved once.  Characters k and d-k
-are complex conjugates with equal spectra, so each such pair is solved
-once and its eigenvalues are counted twice: the double eigenvalues the
-deck symmetry forces come out as exact pairs.
+of any degree share it, and it is solved once for each number of
+eigenvalues asked of it.  Characters k and d-k are complex conjugates
+with equal spectra, so each such pair is solved once and its
+eigenvalues are counted twice: the double eigenvalues the deck symmetry
+forces come out as exact pairs.
 
 Only a few low phases hold the smallest eigenvalues of a cover, and
 spectrum slicing finds them (Ericsson & Ruhe, Math. Comp. 35, 1980;
@@ -40,11 +41,14 @@ phase, and Haynsworth's inertia additivity (Linear Algebra Appl. 1,
 complement S(w) = A_SS(w) - A_IS(w)^H A_II^{-1} A_IS(w).  One real
 LDL^T factorization of A_II and one solve with the seam columns give
 every S(w) as a combination of three small fixed matrices.  A degree's
-spectrum solves a few low phases, puts sigma just above the smallest
-values found, counts every phase's eigenvalues below sigma through its
-S(w), and runs Lanczos only where the count is positive.  Each phase's
-count must equal the number of its solved eigenvalues below sigma, so
-no eigenvalue below sigma is missed without the solve failing.
+spectrum solves a few low phases for just enough of their lowest
+eigenvalues to hold as many of the cover's as it wants, puts sigma just
+above the smallest values found, counts every phase's eigenvalues below
+sigma through its S(w), and solves each phase with a positive count for
+that many, so Lanczos seldom runs for more than one eigenvalue of a
+phase.  Each phase's count
+must equal the number of its solved eigenvalues below sigma, so no
+eigenvalue below sigma is missed without the solve failing.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cholesky, eigh, eigvalsh
+from scipy.linalg import LinAlgError, cholesky, eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
@@ -78,10 +82,14 @@ DENSE_ORACLE_MAX_DOF = 2000
 # copies, and it solves for the wanted pairs alone (see solve_smallest).
 # A character pencil has no deck-forced doubles; the
 # symmetries of the base can still force some, and the lean basis finds
-# them on the default base (see the dense-oracle tests).
+# them on the default base (see the dense-oracle tests).  A character
+# pencil asked for its lowest eigenvalue alone needs no guard pair: were
+# that eigenvalue double, the inertia count would read 2 and the phase
+# would be solved again for two (see CharacterSolver).
 ROOMY_BASIS = (2, 4, 40)
 WARM_BASIS = (0, 3, 16)
 CHARACTER_BASIS = (1, 2, 10)
+LOWEST_BASIS = (0, 2, 10)
 
 # Relative margin of the slicing shift over the largest wanted
 # eigenvalue.  It must exceed the relative error of that computed
@@ -127,8 +135,8 @@ class CharacterSpectrum:
 
     values is ascending, and residuals[i] is the backward error of
     values[i]'s eigenpair on its character pencil.  solved counts the
-    phases this spectrum ran Lanczos on, iterations the operator applies
-    spent on them; phases an earlier degree solved add to neither.
+    Lanczos solves this spectrum ran, iterations the operator applies
+    spent on them; solves an earlier degree ran add to neither.
     below_sigma is the number of the cover's eigenvalues below the
     slicing shift sigma by inertia, each character pair counted twice;
     it equals the number of solved eigenvalues below sigma.
@@ -389,26 +397,32 @@ class CharacterSolver:
     on the seam.
 
     `spectrum(d)` slices the spectrum at a shift sigma.  It solves the
-    phases k/d, k = 0..count//2, puts sigma at SLICE_MARGIN above the
-    count-th smallest value they give, and counts each phase k/d,
-    k in 0..d//2, below sigma by inertia; Lanczos runs only on the
-    phases whose count is positive.  A phase whose count differs from
-    its solved eigenvalues below sigma fails the spectrum by name.  The
-    counts come from the seam Schur complement (Haynsworth): with S the
-    base vertices of the seam and I the rest, A(w) = K(w) - sigma B(w)
-    has the inertia of A_II plus that of
+    boot phases k/d, k = 0..min(count//2, d//2), for ceil(count/d)
+    eigenvalues each (one whenever d >= count), which are at least
+    count eigenvalues of the cover; puts sigma at SLICE_MARGIN above the
+    count-th smallest of them; and counts each phase k/d, k in 0..d//2,
+    below sigma by inertia.  Each phase with count c is then solved for
+    max(c, ceil(count/d)) eigenvalues if it is a boot phase, c if not,
+    so Lanczos runs only on boot phases and phases whose count is
+    positive.  A phase that returns fewer eigenvalues than asked, or
+    whose count differs from its solved eigenvalues below sigma, fails
+    the spectrum by name.  The counts come from the seam Schur
+    complement (Haynsworth): with S the base vertices of the seam and I
+    the rest, A(w) = K(w) - sigma B(w) has the inertia of A_II plus
+    that of
     S(w) = (SS0 - G00 - G11) + w (SS1 - G01) + conj(w) (SS2 - G10),
     where SSp is the p-th phase part of A_SS, and Gij = Xi^T A_II^{-1} Xj
     for the p = 0 and p = 1 parts X0, X1 of A_IS.  So one real LDL^T of
     A_II and one solve with the 2s columns of X count every phase of a
     degree, and each phase costs one s x s Hermitian eigvalsh.
 
-    Each phase is solved the first time any degree needs it, in lowest
-    terms p/q with w = exp(2 pi i p / q), and keeps only its eigenvalues
-    and residuals, so a degree's spectrum has the same bits whichever
-    degrees came before.  Each phase is solved by shift-invert with
-    CHARACTER_BASIS; one with 0 < p/q < 1/2 stands for k and d-k, so it
-    is asked for ceil(count/2) eigenvalues and lists each twice.
+    Each phase is solved in lowest terms p/q with w = exp(2 pi i p / q),
+    the first time any degree asks it for a given number of eigenvalues,
+    and each such solve keeps only its eigenvalues and residuals, so a
+    degree's spectrum has the same bits whichever degrees came before.
+    Each solve is a shift-invert Lanczos run, with LOWEST_BASIS for one
+    eigenvalue and CHARACTER_BASIS for more; a phase with 0 < p/q < 1/2
+    stands for k and d-k, so it lists each eigenvalue twice.
     """
 
     def __init__(self, pencil, base_vertex, seam, count: int, tol: float, seed: int):
@@ -420,7 +434,7 @@ class CharacterSolver:
         self.count, self.tol, self.seed = count, tol, seed
         self._parts = _phase_parts(pencil, base_vertex, seam)
         self._seam = _seam_blocks(self._parts, base_vertex[np.asarray(seam, dtype=np.int64)])
-        self._phases = {}
+        self._solves = {}
 
     def spectrum(self, degree: int) -> CharacterSpectrum:
         """The `count` smallest eigenvalues of the degree-`degree` cover."""
@@ -433,40 +447,48 @@ class CharacterSolver:
         for k in range(degree // 2 + 1):
             g = math.gcd(k, degree)
             phases.append((k // g, degree // g))
+        copies = [2 if q > 2 else 1 for _, q in phases]
+        lean = -(-self.count // degree)
+        boot = min(self.count // 2, degree // 2) + 1
         solved = applies = below = 0
 
         def failure(k, why):
             return EigensolverError(f"character k={k} of degree {degree}: {why}")
 
-        def solve(k):
+        def solve(k, want):
             nonlocal solved, applies
-            if phases[k] not in self._phases:
+            key = phases[k], want
+            if key not in self._solves:
                 try:
-                    values, res, spent = self._solve(phases[k])
+                    result = self._solve(*key)
                 except EigensolverError as e:
                     raise failure(k, e) from e
-                self._phases[phases[k]] = values, res
-                solved, applies = solved + 1, applies + spent
-            return self._phases[phases[k]][0]
+                if len(result.values) < want:
+                    raise failure(k, f"Lanczos returned {len(result.values)} of the "
+                                     f"{want} eigenvalues asked for")
+                self._solves[key] = (np.repeat(result.values, copies[k]),
+                                     np.repeat(result.residuals, copies[k]))
+                solved, applies = solved + 1, applies + result.iterations
+            return self._solves[key]
 
-        boot = [solve(k) for k in range(min(self.count // 2, degree // 2) + 1)]
-        sigma = float(np.sort(np.concatenate(boot))[self.count - 1]) * (1 + SLICE_MARGIN)
+        found = np.concatenate([solve(k, lean)[0] for k in range(boot)])
+        sigma = float(np.sort(found)[self.count - 1]) * (1 + SLICE_MARGIN)
         try:
             counts = self._counts(phases, sigma)
         except EigensolverError as e:
             raise EigensolverError(f"seam Schur complement of degree {degree} at "
                                    f"sigma={sigma!r}: {e}") from e
-        for k, phase in enumerate(phases):
-            counted = (2 if phase[1] > 2 else 1) * int(counts[k])
-            if counted:
-                solve(k)
-            values = self._phases[phase][0] if phase in self._phases else np.empty(0)
-            returned = int(np.count_nonzero(values < sigma))
+        parts = []
+        for k in range(len(phases)):
+            counted = copies[k] * int(counts[k])
+            want = max(int(counts[k]), lean if k < boot else 0)
+            part = solve(k, want) if want else (np.empty(0), np.empty(0))
+            returned = int(np.count_nonzero(part[0] < sigma))
             if returned != counted:
                 raise failure(k, f"inertia counts {counted} eigenvalues below "
                                  f"sigma={sigma!r}, Lanczos returned {returned}")
             below += counted
-        parts = [self._phases[phase] for phase in phases if phase in self._phases]
+            parts.append(part)
         values, res = (np.concatenate(x) for x in zip(*parts))
         order = np.argsort(values, kind="stable")[:self.count]
         return CharacterSpectrum(values=values[order], residuals=res[order],
@@ -507,7 +529,8 @@ class CharacterSolver:
         for at in range(0, len(phases), SCHUR_CHUNK):
             chunk = w[at:at + SCHUR_CHUNK]
             schur = fixed + chunk * cross + np.conj(chunk) * cross_h
-            counts[at:at + SCHUR_CHUNK] += np.count_nonzero(eigvalsh(schur) < 0, axis=1)
+            counts[at:at + SCHUR_CHUNK] += np.count_nonzero(np.linalg.eigvalsh(schur) < 0,
+                                                            axis=1)
         return counts
 
     def _pencil(self, phase: tuple):
@@ -518,12 +541,8 @@ class CharacterSolver:
         return tuple(sparse.csr_matrix((c[0] + w * c[1] + np.conj(w) * c[2], indices, indptr),
                                        shape=(V, V)) for c in (kparts, bparts))
 
-    def _solve(self, phase: tuple):
-        """(values, residuals, operator applies) of phase p/q, per character."""
-        paired = phase[1] > 2
+    def _solve(self, phase: tuple, want: int) -> SpectrumResult:
+        """The `want` smallest eigenpairs of phase p/q's character pencil."""
         K, B = self._pencil(phase)
-        want = min(-(-self.count // 2) if paired else self.count, self.dof)
-        result = _shift_invert(K, B, want, CHARACTER_BASIS, self.tol, self.seed)
-        copies = 2 if paired else 1
-        return (np.repeat(result.values, copies), np.repeat(result.residuals, copies),
-                result.iterations)
+        basis = LOWEST_BASIS if want == 1 else CHARACTER_BASIS
+        return _shift_invert(K, B, want, basis, self.tol, self.seed)

@@ -259,8 +259,8 @@ def curve_from_sides(surface: TriangulatedSurface, sides) -> MeshCurve:
 
     The sides are taken exactly as given, so parallel edges between the
     same two vertices stay apart.  Raises CurveError unless each side
-    ends where the next begins, the last where the first begins, and no
-    vertex is visited twice.
+    ends where the next begins, the last where the first begins, no
+    vertex is visited twice, and no two sides are one edge's two sides.
     """
     edges = tuple((int(f), int(s)) for f, s in sides)
     if len(edges) < 2:
@@ -272,6 +272,9 @@ def curve_from_sides(surface: TriangulatedSurface, sides) -> MeshCurve:
         raise CurveError("edges do not chain into a closed cycle")
     if len(set(verts)) != len(verts):
         raise CurveError("curve visits a vertex twice (not simple)")
+    if any(tuple(surface.glue[f, s]) in edges for f, s in edges):
+        raise CurveError("curve runs along one edge there and back: two of its "
+                         "sides are glued to each other (not simple)")
     length = float(sum(surface.lengths[f, s] for f, s in edges))
     return MeshCurve(verts, edges, length)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypspectra import eigen
-from hypspectra.bound import bound_report
+from hypspectra.bound import bound_report, boundary_distances
 from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import SpectrumResult, solve_smallest
 from hypspectra.fem import assemble, refine
@@ -51,7 +51,7 @@ def sweep_rows(base_levels):
     """Full certification pipeline at refinement 2 for each cover multiplier."""
     surface, gamma = base_levels[2]
     cut = cut_along(surface, gamma)
-    cut_pencil = assemble(cut)
+    cut_pencil, dist = assemble(cut), boundary_distances(cut)
     rows = {}
     for N in SWEEP_N:
         cover = cyclic_cover(surface, gamma, n=2, N=N)
@@ -61,7 +61,8 @@ def sweep_rows(base_levels):
             "cover": cover,
             "pencil": pencil,
             "spectrum": spectrum,
-            "report": bound_report(cut, cut_pencil, spectrum, n=2, N=N),
+            "report": bound_report(cut, cut_pencil, spectrum, n=2, N=N, dist=dist,
+                                   base_area=surface.total_area()),
         }
     return rows
 
@@ -90,20 +91,38 @@ def cover_r3(base_levels):
     return cyclic_cover(surface, gamma, n=2, N=2)
 
 
+def drop_lowest_of_complex_pencils(monkeypatch, spare: int):
+    """Lanczos drops the lowest eigenvalue of every complex character pencil.
+
+    It solves for `spare` more eigenvalues than asked before dropping one.
+    """
+    real = eigen._shift_invert
+
+    def shift_invert(K, B, count, *args):
+        if not np.iscomplexobj(K.data):
+            return real(K, B, count, *args)
+        result = real(K, B, count + spare, *args)
+        return SpectrumResult(result.values[1:], result.vectors[:, 1:],
+                              result.residuals[1:], result.iterations, result.dof,
+                              result.shift)
+
+    monkeypatch.setattr(eigen, "_shift_invert", shift_invert)
+
+
 @pytest.fixture
 def paired_phases_miss_lowest(monkeypatch):
     """Lanczos misses the lowest eigenvalue of every complex character pencil.
 
     The shape of the bug that returned one copy of a double eigenvalue.
     """
-    real = eigen._shift_invert
+    drop_lowest_of_complex_pencils(monkeypatch, spare=0)
 
-    def shift_invert(K, B, count, *args):
-        result = real(K, B, count, *args)
-        if not np.iscomplexobj(K.data):
-            return result
-        return SpectrumResult(result.values[1:], result.vectors[:, 1:],
-                              result.residuals[1:], result.iterations, result.dof,
-                              result.shift)
 
-    monkeypatch.setattr(eigen, "_shift_invert", shift_invert)
+@pytest.fixture
+def paired_phases_skip_lowest(monkeypatch):
+    """Lanczos returns as many eigenvalues as asked of a complex character
+    pencil, but not its lowest: the next one takes its place.
+
+    The miss only the inertia count can see.
+    """
+    drop_lowest_of_complex_pencils(monkeypatch, spare=1)

@@ -167,7 +167,7 @@ def test_base_level_ramps_match_the_cover(base_levels, level, N):
     cut_pencil, full = assemble(cut), assemble(cover.surface)
     for variant in ("two-sided", "one-sided"):
         collar, fs = _cover_ramps(cover, lift_dist, variant)
-        base_collar, quotient = ramp_quotient(cut, cut_pencil, N, variant)
+        base_collar, quotient = ramp_quotient(cut, cut_pencil, dist, N, variant)
         assert base_collar == collar          # eta, t, t_requested, t_shrunk
         for f in fs:
             reference = rayleigh(full, f)
@@ -216,7 +216,7 @@ def test_support_check_names_the_failure(small_cover, monkeypatch, N, copy, circ
     monkeypatch.setattr(bound_module, "piece_ramps", nudged)
     cut = small_cover.cut
     with pytest.raises(BoundError, match=message):
-        ramp_quotient(cut, assemble(cut), N)
+        ramp_quotient(cut, assemble(cut), boundary_distances(cut), N)
 
 
 # -- quotients and the certificate ---------------------------------------------
@@ -288,20 +288,24 @@ def test_report_internal_identities(sweep_rows):
     assert close(report.bound, H_BOUND[2][1], rel=1e-8)
 
 
-def test_report_certifies_small_cover_both_variants(small_cover):
+def test_report_certifies_small_cover_both_variants(base_r0, small_cover):
     spectrum = solve_smallest(assemble(small_cover.surface), count=4, tol=1e-9, seed=0)
+    cut = small_cover.cut
     for variant in ("two-sided", "one-sided"):
-        report = bound_report(small_cover.cut, assemble(small_cover.cut), spectrum,
-                              n=2, N=1, variant=variant)
+        report = bound_report(cut, assemble(cut), spectrum, n=2, N=1, variant=variant,
+                              dist=boundary_distances(cut),
+                              base_area=base_r0[0].total_area())
         assert report.testfn_variant == variant
         assert report.certificate_holds
         assert report.lambda_n <= report.certificate + 1e-7 * report.scale
 
 
-def test_report_needs_enough_eigenvalues(small_cover):
+def test_report_needs_enough_eigenvalues(base_r0, small_cover):
     spectrum = solve_smallest(assemble(small_cover.surface), count=2, tol=1e-9, seed=0)
+    cut = small_cover.cut
     with pytest.raises(BoundError):
-        bound_report(small_cover.cut, assemble(small_cover.cut), spectrum, n=2, N=1)
+        bound_report(cut, assemble(cut), spectrum, n=2, N=1, dist=boundary_distances(cut),
+                     base_area=base_r0[0].total_area())
 
 
 def test_report_round_trips_through_json(sweep_rows):
@@ -347,7 +351,9 @@ def test_report_runs_at_most_two_dijkstra_on_the_cut(base_r0, monkeypatch, varia
             return real.dijkstra(graph, *args, **kwargs)
 
     monkeypatch.setattr(bound_module, "csgraph", CountingCsgraph())
+    dist = boundary_distances(cut)
     for n, N in [(1, 1), (2, 3), (7, 64), (2, 1024)]:
-        calls.clear()
-        bound_report(cut, pencil, spectrum, n, N, variant=variant)
-        assert calls == [(cut.num_vertices, cut.num_vertices)] * 2
+        bound_report(cut, pencil, spectrum, n, N, variant=variant, dist=dist,
+                     base_area=surface.total_area())
+    # both searches belong to boundary_distances, which serves every N
+    assert calls == [(cut.num_vertices, cut.num_vertices)] * 2

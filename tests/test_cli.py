@@ -233,8 +233,9 @@ def test_sweep_outputs(sweep_dir):
         assert 0 <= eigen["max_residual"] <= 1e-12
         assert row["lambda"][-1] < eigen["sigma"] <= row["lambda"][-1] * (1 + 1e-6)
         assert eigen["below_sigma"] >= len(row["lambda"])
-    # d = 2 solves the phases 0 and 1/2; d = 4 adds only 1/4.
-    assert [row["eigen"]["characters"] for row in doc["rows"]] == [2, 1]
+    # d = 2 solves the phases 0 and 1/2 for two eigenvalues each; d = 4
+    # solves 0 and 1/4 for one each.
+    assert [row["eigen"]["characters"] for row in doc["rows"]] == [2, 2]
 
 
 def test_sweep_rerun_identical_modulo_timestamp(sweep_dir):
@@ -278,10 +279,10 @@ def test_sweep_failed_phase_fails_only_its_row(tmp_path, monkeypatch):
     # N = 1 (d = 2) needs the phases 0 and 1/2; N = 2 (d = 4) adds 1/4.
     real = CharacterSolver._solve
 
-    def solve(self, phase):
+    def solve(self, phase, want):
         if phase == (1, 4):
             raise EigensolverError("injected failure")
-        return real(self, phase)
+        return real(self, phase, want)
 
     monkeypatch.setattr(CharacterSolver, "_solve", solve)
     out = tmp_path / "run"
@@ -310,7 +311,7 @@ def test_sweep_records_seam_schur_failure(tmp_path, monkeypatch):
     assert doc["asserted"]["all_rows_succeeded"] is False
 
 
-def test_sweep_missed_eigenvalue_fails_only_its_row(tmp_path, paired_phases_miss_lowest):
+def test_sweep_missed_eigenvalue_fails_only_its_row(tmp_path, paired_phases_skip_lowest):
     # Only d = 4 has a complex (paired) phase, 1/4, and Lanczos misses
     # its lowest eigenvalue; the inertia count catches it.
     out = tmp_path / "run"
@@ -319,6 +320,17 @@ def test_sweep_missed_eigenvalue_fails_only_its_row(tmp_path, paired_phases_miss
     assert [row["failed"] for row in doc["rows"]] == [False, True]
     assert re.search(r"character k=1 of degree 4: inertia counts \d+ eigenvalues below "
                      r"sigma=\S+, Lanczos returned \d+", doc["rows"][1]["error"])
+
+
+def test_sweep_short_phase_fails_only_its_row(tmp_path, paired_phases_miss_lowest):
+    # d = 4 asks its complex phase 1/4 for one eigenvalue, and Lanczos
+    # returns none; the slicing shift needs it, so the row fails by name.
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out)] + TINY) == 1
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [row["failed"] for row in doc["rows"]] == [False, True]
+    assert ("character k=1 of degree 4: Lanczos returned 0 of the 1 eigenvalues asked for"
+            in doc["rows"][1]["error"])
 
 
 FAMILY = ["--refine", "1", "--n", "2"]
@@ -349,9 +361,12 @@ def test_sweep_row_independent_of_earlier_rows(family_doc, tmp_path):
 
 
 def test_sweep_solves_each_phase_once(family_doc):
-    # d = 3 solves 0 and 1/3; each later row solves only its new 1/d, the
-    # one phase with an eigenvalue below sigma that no earlier row solved.
-    assert [row["eigen"]["characters"] for row in family_doc["rows"]] == [2, 1, 1, 1, 1]
+    # A row solves its phases k/d with k <= 2 for ceil(4/d) eigenvalues
+    # each, and no other phase has an eigenvalue below sigma.  d = 3
+    # solves 0 and 1/3 for two, d = 6 solves 0, 1/6 and 1/3 for one, and
+    # each later row only its new 1/d: an earlier row solved 0 and 2/d
+    # for one.
+    assert [row["eigen"]["characters"] for row in family_doc["rows"]] == [2, 3, 1, 1, 1]
 
 
 def test_sweep_pairs_deck_forced_double_eigenvalue(tmp_path):

@@ -445,12 +445,46 @@ def test_each_phase_solved_once(small_cover):
     cut = small_cover.cut
     solver = character_solver(cut, assemble(cut), count=4)
     # Lanczos runs on the phases k/d with k <= count//2, in lowest terms,
-    # that no earlier degree solved: 0 and 1/3 at d = 3, 1/6 at d = 6 and
-    # 1/12 at d = 12.  No other phase has an eigenvalue below sigma.
+    # for ceil(count/d) eigenvalues, unless an earlier degree solved them
+    # for as many: 0 and 1/3 for two at d = 3; 0, 1/6 and 1/3 for one at
+    # d = 6; 1/12 for one at d = 12.  No phase has more eigenvalues below
+    # sigma than that.
     rows = [solver.spectrum(d) for d in (3, 6, 12, 6, 3)]
-    assert [r.solved for r in rows] == [2, 1, 1, 0, 0]
+    assert [r.solved for r in rows] == [2, 3, 1, 0, 0]
+    assert sorted(solver._solves) == [((0, 1), 1), ((0, 1), 2), ((1, 3), 1), ((1, 3), 2),
+                                      ((1, 6), 1), ((1, 12), 1)]
     again = solver.spectrum(12)
     assert again.solved == again.iterations == 0
+
+
+@pytest.mark.parametrize("d", [4, 5, 48])
+def test_degrees_past_count_solve_one_eigenvalue_per_phase(base_levels, d):
+    # With d >= count, one eigenvalue from each of the phases k/d,
+    # k <= count//2, is enough for sigma, and none of them, nor any
+    # other phase, has two eigenvalues below it.
+    surface, gamma = base_levels[1]
+    cut = cut_along(surface, gamma)
+    solver = character_solver(cut, assemble(cut), count=4)
+    result = solver.spectrum(d)
+    phases = {(k // math.gcd(k, d), d // math.gcd(k, d)) for k in range(3)}
+    assert sorted(solver._solves) == sorted((phase, 1) for phase in phases)
+    assert result.solved == len(phases)
+
+
+def test_resolved_phase_matches_dense(small_cover):
+    # At d = 2 a count of 5 asks phases 0 and 1/2 for three eigenvalues
+    # each.  Phase 0's third is one copy of the base's double eigenvalue,
+    # so phase 0 counts four below sigma and is solved again for four.
+    cut = small_cover.cut
+    solver = character_solver(cut, assemble(cut), count=5)
+    result = solver.spectrum(2)
+    assert sorted(solver._solves) == [((0, 1), 3), ((0, 1), 4), ((1, 2), 3)]
+    assert result.solved == 3
+    dense = [dense_character_values(solver, phase) for phase in ((0, 1), (1, 2))]
+    reference = np.sort(np.concatenate(dense))
+    scale = solver._pencil((0, 1))[0].diagonal().sum() / solver.dof
+    assert_matches(result.values, reference[:5], scale)
+    assert result.below_sigma == np.count_nonzero(reference < result.sigma) == 6
 
 
 def test_phase_spectra_independent_of_earlier_degrees(small_cover):
@@ -562,7 +596,7 @@ def test_one_inertia_factorization_per_spectrum(base_levels, monkeypatch):
         assert calls["inertia"] == 1
         assert calls["all"] == 1 + result.solved
         phases = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k in range(1 + d // 2)]
-        solved = [phase for phase in phases if phase in solver._phases]
+        solved = [phase for phase in phases if any(phase == p for p, _ in solver._solves)]
         dense = [dense_character_values(solver, phase, count=8) for phase in solved]
         assert all(v[-1] > result.sigma for v in dense)
         below = sum((2 if q > 2 else 1) * np.count_nonzero(v < result.sigma)
@@ -628,10 +662,20 @@ def test_phase_dependent_interior_entry_fails_by_name(small_cover, monkeypatch):
         character_solver(cut, assemble(cut), count=4)
 
 
-def test_missed_eigenvalue_fails_by_name(small_cover, paired_phases_miss_lowest):
+def test_missed_eigenvalue_fails_by_name(small_cover, paired_phases_skip_lowest):
     cut = small_cover.cut
     solver = character_solver(cut, assemble(cut), count=4)
     with pytest.raises(EigensolverError,
                        match=r"character k=1 of degree 3: inertia counts 4 eigenvalues "
                              r"below sigma=\S+, Lanczos returned 2"):
+        solver.spectrum(3)
+
+
+def test_short_phase_fails_by_name(small_cover, paired_phases_miss_lowest):
+    # d = 3 asks phase 1/3 for two eigenvalues and gets one.
+    cut = small_cover.cut
+    solver = character_solver(cut, assemble(cut), count=4)
+    with pytest.raises(EigensolverError,
+                       match="character k=1 of degree 3: Lanczos returned 1 of the 2 "
+                             "eigenvalues asked for"):
         solver.spectrum(3)

@@ -202,6 +202,21 @@ def test_curve_rejects_repeated_vertex(base_r0):
         curve_from_sides(surface, 2 * list(gamma.edges))
 
 
+def test_curve_rejects_one_edge_there_and_back(base_r0):
+    # A side and its glued partner chain into a closed cycle through two
+    # distinct vertices, but walk one edge twice; cut_along used to fail
+    # on it with a MeshError about the left boundary.
+    surface, gamma = base_r0
+    side = gamma.edges[0]
+    partner = tuple(int(x) for x in surface.glue[side])
+    with pytest.raises(CurveError, match="one edge there and back"):
+        curve_from_sides(surface, [side, partner])
+    surface, _ = build_surface(FenchelNielsenSpec((6.0, 6.0, 6.0), (0, 0, 0), 4))
+    with pytest.raises(CurveError, match="one edge there and back"):
+        curve_from_sides(surface, [(2, 0), (11, 0)])
+    assert curve_from_sides(surface, [(2, 0), (29, 0)]).vertices == (2, 3)
+
+
 # -- cutting ------------------------------------------------------------------
 
 def test_cut_along_doubles_curve_vertices(base_r0):
@@ -267,15 +282,16 @@ def test_hypmesh_roundtrip(tmp_path, base_r0):
 
 def test_hypmesh_keeps_curve_sides_on_parallel_edges(tmp_path):
     # With m = 4 the cuffs carry parallel edges: sides (20, 0) and (29, 0)
-    # run between the same vertices as (2, 0) and (11, 0).
+    # run between the same vertices as (2, 0) and (11, 0), so (2, 0) and
+    # (29, 0) close a curve of two edges.
     surface, _ = build_surface(FenchelNielsenSpec((6.0, 6.0, 6.0), (0, 0, 0), 4))
     path = tmp_path / "parallel.hypmesh"
     write_hypmesh(path, surface)
     with open(path, "a") as fh:
-        fh.write("CURVE c 2\n2 0\n11 0\n")
+        fh.write("CURVE c 2\n2 0\n29 0\n")
     written = path.read_bytes()
     back, curves = read_hypmesh(path)
-    assert curves["c"].edges == ((2, 0), (11, 0))
+    assert curves["c"].edges == ((2, 0), (29, 0))
     write_hypmesh(path, back, curves=curves)
     assert path.read_bytes() == written
 
