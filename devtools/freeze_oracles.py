@@ -69,3 +69,32 @@ show("area genus 2", 4 * mp.pi)
 
 # sinh(0.4) < 1 check value used by the ramp-width cap.
 show("sinh(0.4)", mp.sinh(mp.mpf(2) / 5))
+
+# Centroid-to-corner distances of the right-angled hexagon with cuffs
+# (l1, l2, l3), sides (l1/2, x12, l2/2, x23, l3/2, x31), by a walk in a
+# Lorentz frame (columns: point, tangent, normal): boost by S_k along the
+# tangent, then turn the tangent by exactly a quarter.
+def seam(u1, u2, u3):
+    return mp.acosh((mp.cosh(u3 / 2) + mp.cosh(u1 / 2) * mp.cosh(u2 / 2))
+                    / (mp.sinh(u1 / 2) * mp.sinh(u2 / 2)))
+
+
+def minkowski(p, q):
+    return p[0] * q[0] - p[1] * q[1] - p[2] * q[2]
+
+
+for trip in [(2.0, 2.0, 2.0), (0.05, 2.0, 2.0), (15.0, 15.0, 15.0)]:
+    u1, u2, u3 = (mp.mpf(x) for x in trip)
+    sides = [u1 / 2, seam(u1, u2, u3), u2 / 2, seam(u2, u3, u1), u3 / 2, seam(u3, u1, u2)]
+    frame = mp.eye(3)
+    corners = []
+    for S in sides:
+        corners.append(frame[:, 0])
+        c, h = mp.cosh(S), mp.sinh(S)
+        frame = frame * mp.matrix([[c, 0, -h], [h, 0, -c], [0, 1, 0]])
+    closure = mp.mnorm(frame - mp.eye(3), 1)
+    total = sum(corners[1:], corners[0])
+    centroid = total / mp.sqrt(minkowski(total, total))
+    r = [mp.acosh(minkowski(centroid, p)) for p in corners]
+    print(f"hexagon r{trip} (walk closes to {mp.nstr(closure, 3)}): "
+          f"{[float(x) for x in r]!r}")

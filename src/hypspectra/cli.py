@@ -16,7 +16,7 @@ byte-identical CSV, and JSON except for the timestamp field.  Every
 table row embeds the config hash so results from different configs
 cannot be aggregated silently.  Exit status is 0 only when every
 inequality the command asserts actually holds (2 for usage or I/O
-errors).
+errors, and for cuffs the builder cannot mesh).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .cover import cyclic_cover
 from .eigen import CharacterSolver, EigensolverError, dense_oracle, solve_smallest
 from .fem import (SparsePencil, assemble, bisection_codes, dissection, prolongation,
                   refine)
+from .hypgeom import GeometryError
 from .surface import FenchelNielsenSpec, MeshError, build_surface, cut_along, write_hypmesh
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "load_config", "main"]
@@ -687,7 +688,7 @@ def main(argv=None) -> int:
         handler = {"build": cmd_build, "sweep": cmd_sweep, "converge": cmd_converge,
                    "corollary": cmd_corollary, "oracle-check": cmd_oracle_check}
         return handler[args.command](config)
-    except (ConfigError, MeshError, BoundError, EigensolverError) as e:
+    except (ConfigError, MeshError, GeometryError, BoundError, EigensolverError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

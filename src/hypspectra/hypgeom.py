@@ -1,13 +1,10 @@
-"""Hyperbolic trigonometry and hyperboloid-model point arithmetic.
+"""Hyperbolic trigonometry from side lengths alone, at curvature -1.
 
-All lengths are geodesic distances at curvature -1.  Points live on the
-upper sheet of the hyperboloid x0^2 - x1^2 - x2^2 = 1 (x0 > 0) in
-Minkowski 3-space; the coordinate axis is always last, so every function
-broadcasts over leading axes and can be applied to whole meshes at once.
-
-Triangles are stored purely by their three side lengths.  Angles and
-areas come from the side lengths alone, which keeps every downstream
-mesh quantity a function of the stored combinatorics + lengths.
+Triangles are stored purely by their three side lengths; the functions
+broadcast over leading axes with the sides last, so they apply to whole
+meshes at once.  Angles, areas and midlines come from the side lengths,
+and so do a right-angled hexagon's seams and centroid distances: no
+point coordinates are ever formed.
 """
 
 from __future__ import annotations
@@ -25,16 +22,9 @@ __all__ = [
     "acosh1p",
     "corner_angles",
     "coshm1",
-    "project_tangent",
-    "geodesic_point",
+    "hexagon_centroid_distances",
     "hexagon_seam_length",
-    "hyp_distance",
     "midline_lengths",
-    "minkowski_dot",
-    "normalize_point",
-    "perp_tangent",
-    "right_angled_hexagon",
-    "rotate_tangent",
     "triangle_areas",
     "validate_triangle_lengths",
 ]
@@ -44,80 +34,10 @@ class GeometryError(ValueError):
     """Input does not describe valid hyperbolic geometry."""
 
 
-def minkowski_dot(p, q):
-    """Minkowski inner product with signature (+, -, -), vectorized."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return p[..., 0] * q[..., 0] - p[..., 1] * q[..., 1] - p[..., 2] * q[..., 2]
-
-
 def acosh1p(u):
     """arccosh(1 + u) for u >= 0, accurate for small u."""
     u = np.asarray(u, dtype=float)
     return np.log1p(u + np.sqrt(u * (2.0 + u)))
-
-
-def normalize_point(v):
-    """Project a timelike vector back onto the hyperboloid sheet."""
-    v = np.asarray(v, dtype=float)
-    nrm2 = minkowski_dot(v, v)
-    if np.any(nrm2 <= 0):
-        raise GeometryError("vector is not timelike, cannot normalize onto hyperboloid")
-    return v / np.sqrt(nrm2)[..., None]
-
-
-def hyp_distance(p, q):
-    """Geodesic distance between hyperboloid points (vectorized)."""
-    # <p,q> = cosh d; clip the tiny negative excursions that arise for
-    # nearly coincident points.
-    u = np.maximum(minkowski_dot(p, q) - 1.0, 0.0)
-    return acosh1p(u)
-
-
-def geodesic_point(p, u, t):
-    """Point at arc length t along the unit-speed geodesic from p with tangent u."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)[..., None]
-    return np.cosh(t) * p + np.sinh(t) * u
-
-
-def geodesic_transport(p, u, t):
-    """Tangent of the same geodesic after flowing arc length t."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)[..., None]
-    return np.sinh(t) * p + np.cosh(t) * u
-
-
-def perp_tangent(p, u):
-    """Unit tangent at p orthogonal to u, oriented by the Lorentz cross product."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    cross = np.cross(p, u)
-    cross[..., 1] *= -1.0
-    cross[..., 2] *= -1.0
-    return cross
-
-
-def rotate_tangent(p, u, theta):
-    """Rotate the unit tangent u at p by angle theta."""
-    return math.cos(theta) * np.asarray(u, dtype=float) + math.sin(theta) * perp_tangent(p, u)
-
-
-def project_tangent(p, u):
-    """Project u onto the tangent space at p and rescale to a unit tangent.
-
-    Removes the first-order drift that accumulates when tangents are
-    propagated through many flow steps.
-    """
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    u = u - minkowski_dot(u, p)[..., None] * p
-    norm2 = -minkowski_dot(u, u)
-    if np.any(norm2 <= 0):
-        raise GeometryError("tangent projection collapsed to a non-spacelike vector")
-    return u / np.sqrt(norm2)[..., None]
 
 
 def coshm1(x):
@@ -210,9 +130,13 @@ def hexagon_seam_length(l1: float, l2: float, l3: float) -> float:
     """
     if not (l1 > 0 and l2 > 0 and l3 > 0):
         raise GeometryError("cuff lengths must be positive")
-    if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)):
-        raise GeometryError("cuff lengths must be finite")
-    u = (math.cosh(l3 / 2) + math.cosh((l1 - l2) / 2)) / (math.sinh(l1 / 2) * math.sinh(l2 / 2))
+    if not max(l1, l2, l3) < 1400:
+        raise GeometryError("cuff lengths must be below 1400, where cosh overflows float64")
+    den = math.sinh(l1 / 2) * math.sinh(l2 / 2)
+    u = (math.cosh(l3 / 2) + math.cosh((l1 - l2) / 2)) / den if den else math.inf
+    # acosh1p squares u, so u must stay well inside the float64 range.
+    if not 0 < u < 1e150:
+        raise GeometryError(f"seam of cuffs ({l1!r}, {l2!r}, {l3!r}) is out of float64 range")
     return float(acosh1p(u))
 
 
@@ -242,30 +166,32 @@ def midline_lengths(lengths) -> np.ndarray:
     return out
 
 
-def right_angled_hexagon(sides) -> np.ndarray:
-    """Corner points of a right-angled hexagon with the given six side lengths.
+def hexagon_centroid_distances(sides) -> np.ndarray:
+    """Distances from a right-angled hexagon's centroid to its six corners.
 
-    Walks the boundary on the hyperboloid, turning by pi/2 at every
-    corner, and checks that the walk closes; the closure residual is the
-    round-trip error of the underlying hexagon identity.  Returns the
-    corners in walk order, shape (6, 3); corner k starts side k.
+    Corner k starts side k, of length S_k = sides[k].  The centroid is
+    the normalised sum of the corners, so cosh r_k is row sum k of the
+    corners' Gram matrix G over the square root of the sum of all of G.
+    Entry G_jk is the cosh of the distance between corners j and k, and
+    comes from the sides alone (indices mod 6):
+
+        G_jj      = 1,
+        G_j,j+1   = cosh S_j,
+        G_j,j+2   = cosh S_j cosh S_{j+1}          (Pythagoras),
+        G_j,j+3   = cosh S_j cosh S_{j+2} coshm1(S_{j+1})
+                    + cosh(S_j - S_{j+2})           (two right angles).
+
+    Every term is positive, so nothing cancels.
     """
-    sides = np.asarray(sides, dtype=float)
-    if sides.shape != (6,):
-        raise GeometryError("a hexagon needs exactly six side lengths")
-    if np.any(sides <= 0) or not np.all(np.isfinite(sides)):
-        raise GeometryError("hexagon side lengths must be positive and finite")
-    corners = np.empty((6, 3))
-    p = np.array([1.0, 0.0, 0.0])
-    u = np.array([0.0, 1.0, 0.0])
-    for k in range(6):
-        corners[k] = p
-        q = normalize_point(geodesic_point(p, u, sides[k]))
-        w = project_tangent(q, geodesic_transport(p, u, sides[k]))
-        p, u = q, rotate_tangent(q, w, math.pi / 2)
-    scale = max(1.0, float(np.max(np.abs(corners))))
-    err = float(np.max(np.abs(p - corners[0]))) / scale
-    if err > 1e-9:
-        raise GeometryError(f"hexagon walk failed to close (residual {err:.3e}); "
-                            "side lengths are not consistent with right angles")
-    return corners
+    S = np.asarray(sides, dtype=float)
+    if S.shape != (6,) or not np.all((S > 0) & np.isfinite(S)):
+        raise GeometryError("a hexagon needs six positive finite side lengths")
+    with np.errstate(over="ignore"):
+        ch = np.cosh(S)
+        two = ch * np.roll(ch, -1)
+        opposite = ch * np.roll(ch, -2) * coshm1(np.roll(S, -1)) + np.cosh(S - np.roll(S, -2))
+        rows = 1.0 + ch + np.roll(ch, 1) + two + np.roll(two, 2) + opposite
+        total = rows.sum()
+    if not np.isfinite(total):
+        raise GeometryError("hexagon corner distances are out of float64 range")
+    return np.arccosh(rows / math.sqrt(total))

@@ -308,7 +308,10 @@ class FenchelNielsenSpec:
 
 
 class _HexagonFan:
-    """Geometry of one right-angled hexagon, triangulated by a centroid fan."""
+    """Side lengths, subdivision `spacing` and centroid `spokes` of a right-angled hexagon.
+
+    The corner spokes are `hypgeom.hexagon_centroid_distances`.
+    """
 
     def __init__(self, l1: float, l2: float, l3: float, m: int):
         x12 = hypgeom.hexagon_seam_length(l1, l2, l3)
@@ -323,10 +326,8 @@ class _HexagonFan:
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
         self.boundary_count = int(self.offsets[-1])
 
-        corners = hypgeom.right_angled_hexagon(self.side_lengths)
-        centroid = hypgeom.normalize_point(corners.sum(axis=0))
         self.spacing = self.side_lengths / np.array(self.counts, dtype=float)
-        corner_dist = hypgeom.hyp_distance(centroid, corners)
+        corner_dist = hypgeom.hexagon_centroid_distances(self.side_lengths)
         # Spoke lengths are propagated around the boundary in intrinsic
         # variables: the spoke r at the running corner and the versine
         # 1 - cos(phi) of the angle between the outgoing side and the spoke.
@@ -357,10 +358,11 @@ class _HexagonFan:
             self.spokes[o + 1:o + cnt] = hypgeom.acosh1p(u)
             u_far = hypgeom.coshm1(r - S[q]) + math.sinh(r) * math.sinh(S[q]) * versin
             r_far = float(hypgeom.acosh1p(u_far))
-            if abs(r_far - corner_dist[(q + 1) % 6]) > 1e-9 * max(1.0, r_far):
+            v_far = corner_versin(r_far, r, S[q])
+            drift = abs(r_far - corner_dist[(q + 1) % 6])
+            if drift > 1e-9 * max(1.0, r_far) or not 0.0 <= v_far <= 2.0:
                 raise hypgeom.GeometryError(
                     "spoke propagation drifted away from hexagon corner positions")
-            v_far = corner_versin(r_far, r, S[q])
             sin_far = math.sqrt(v_far * (2.0 - v_far))
             r, versin = r_far, (1.0 - v_far) ** 2 / (1.0 + sin_far)
 

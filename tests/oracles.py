@@ -7,13 +7,15 @@ comparisons allow a few ulp of relative slack rather than demanding
 bitwise equality.
 """
 
+import math
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from hypspectra.eigen import dense_oracle
 from hypspectra.fem import SparsePencil
-from hypspectra.hypgeom import GeometryError, minkowski_dot
+from hypspectra.hypgeom import GeometryError
 
 FROZEN = {
     # equilateral triangle, all sides 1
@@ -36,6 +38,16 @@ FROZEN = {
     "area_genus2": 12.566370614359172,
 }
 
+# Distances r_0..r_5 from the centroid of the right-angled hexagon of
+# cuffs (l1, l2, l3) to its corners, keyed by the cuffs; from a Lorentz
+# frame walk of the hexagon at 50 digits.
+HEXAGON_R = {
+    (2.0, 2.0, 2.0): (1.195923982783473,) * 6,
+    (0.05, 2.0, 2.0): (3.132381259165819, 3.132381259165819, 2.235843408518897,
+                       2.6526498861216385, 2.6526498861216385, 2.235843408518897),
+    (15.0, 15.0, 15.0): (3.8942563564343855,) * 6,
+}
+
 # (h, C(eta) * (h + h^2)) for n = 2, l(gamma) = 2, area = 4*pi per N
 H_BOUND = {
     1: (0.477464829275686, 1.8277078185683198),
@@ -44,6 +56,10 @@ H_BOUND = {
     8: (0.05968310365946075, 0.16386101511403103),
     16: (0.029841551829730376, 0.07962327676390805),
 }
+
+# Cuffs far from the default: very short and very long cuffs give long and
+# short seams, and slivers in the centroid fans.
+FAR_CUFFS = [(0.1, 0.1, 0.1), (0.002, 2.0, 2.0), (15.0, 15.0, 15.0), (30.0, 30.0, 30.0)]
 
 REL = 1e-13  # a few ulp of float64 headroom
 
@@ -99,6 +115,30 @@ def colamd_smallest(pencil, count, tol=1e-9, seed=0):
     return np.sort(values)[:count], lu.nnz
 
 
+# -- hyperboloid model: points on x0^2 - x1^2 - x2^2 = 1, coordinates last ---
+
+def minkowski_dot(p, q):
+    """Minkowski inner product with signature (+, -, -), vectorized."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return p[..., 0] * q[..., 0] - p[..., 1] * q[..., 1] - p[..., 2] * q[..., 2]
+
+
+def hyp_distance(p, q):
+    """Geodesic distance 2 asinh(|p - q| / 2), |.| the Minkowski norm.
+
+    The chord form stays accurate for nearby points, where arccosh<p, q>
+    would cancel.
+    """
+    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(-minkowski_dot(d, d), 0.0)))
+
+
+def geodesic_point(p, u, t):
+    """Point at arc length t along the unit-speed geodesic from p with tangent u."""
+    return math.cosh(t) * np.asarray(p, dtype=float) + math.sinh(t) * np.asarray(u, dtype=float)
+
+
 def geodesic_direction(p, q):
     """Unit tangent at p pointing along the geodesic toward q (hyperboloid model)."""
     p = np.asarray(p, dtype=float)
@@ -108,3 +148,21 @@ def geodesic_direction(p, q):
     if np.any(nrm2 <= 0):
         raise GeometryError("cannot take direction between coincident points")
     return w / np.sqrt(nrm2)[..., None]
+
+
+def right_angled_hexagon(sides):
+    """Corners of the right-angled hexagon with the given sides, by a frame walk.
+
+    The frame's columns are a point, a unit tangent and the normal.  Each
+    side boosts the frame along its tangent by the side length and turns
+    the tangent by an exact quarter.  Returns (corners, final frame):
+    corner k starts side k, and the walk closes when the final frame is
+    the identity.
+    """
+    frame = np.eye(3)
+    corners = np.empty((6, 3))
+    for k, S in enumerate(sides):
+        corners[k] = frame[:, 0]
+        c, h = math.cosh(S), math.sinh(S)
+        frame = frame @ np.array([[c, 0.0, -h], [h, 0.0, -c], [0.0, 1.0, 0.0]])
+    return corners, frame

@@ -14,6 +14,7 @@ from hypspectra.cli import (CSV_DOC, ConfigError, RunConfig, build_parser,
 from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import CharacterSolver, EigensolverError
 from hypspectra.surface import read_hypmesh
+from oracles import FAR_CUFFS
 
 TINY = ["--refine", "0", "--n", "1", "--N", "1,2"]
 ENVELOPE = ["timestamp", "version", "config_hash", "config"]
@@ -148,6 +149,40 @@ def test_main_rejects_bad_value(tmp_path):
     path.write_text("tol = -1\n")
     assert main(["sweep", "--config", str(path)]) == 2
     assert main(["sweep", "--tol", "0", "--out", str(tmp_path)]) == 2
+
+
+def cuffs_config(tmp_path, cuffs):
+    path = tmp_path / "cuffs.cfg"
+    path.write_text("cuffs = " + ", ".join(map(repr, cuffs)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("cuffs, refine, message", [
+    ((1.0, 1.0, 30.0), 0, "degenerate triangle"),        # a fan triangle of the base
+    ((1.0, 1.0, 20.0), 2, "degenerate triangle"),        # a refined fan triangle
+    ((1500.0, 1.0, 1.0), 0, "float64"),                  # cosh overflows
+    ((481.1192909712674, 198.1728132876575, 34.867300136813924), 0,
+     "spoke propagation"),                               # a corner versine above 2
+    ((0.05, 0.05, 0.05), 0, "cone angle"),
+])
+def test_geometry_failure_is_a_named_exit(tmp_path, capsys, cuffs, refine, message):
+    argv = ["sweep", "--config", cuffs_config(tmp_path, cuffs), "--refine", str(refine),
+            "--N", "1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("cuffs", FAR_CUFFS)
+def test_sweep_far_from_default_cuffs(tmp_path, cuffs):
+    out = tmp_path / "run"
+    code = main(["sweep", "--config", cuffs_config(tmp_path, cuffs), "--refine", "1",
+                 "--N", "1,2", "--out", str(out), "--seed", "1"])
+    doc = json.loads((out / "sweep.json").read_text())
+    assert all(not row["failed"] and row["certificate_holds"] for row in doc["rows"])
+    broken = {name for name, holds in doc["asserted"].items() if not holds}
+    assert broken <= {"lambda_n_below_bound_each_row"}
+    assert code == (1 if broken else 0)
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -8,37 +8,46 @@ from scipy.sparse import csgraph
 from hypspectra.cover import CoverError, cyclic_cover
 from hypspectra.surface import CurveError, curve_from_sides
 
-# SHA-256 prefixes of every array a cover carries, recorded from a
-# construction whose covers all passed an explicit check of the deck
+# SHA-256 prefixes of every integer array a cover carries, recorded from
+# a construction whose covers all passed an explicit check of the deck
 # symmetry (order d, bitwise lengths, gluing, pieces and lifts).  Any
 # change to the face layout, the vertex numbering, the deck map, the
-# pieces or the lifts shows here.
+# pieces or the lifts shows here.  The lengths are not hashed: they are
+# the cut's, copy by copy (test_cover_lengths_tile_the_cut), and move
+# with the base mesh at roundoff.
 COVER_DIGESTS = [
-    (0, 0, 1, "433b1c2a46d239a3"),
-    (0, 2, 1, "166fa9391e2e1443"),
-    (0, 1, 3, "9106a22aff785693"),
-    (0, 7, 2, "ef34b6b89dc11047"),
-    (1, 2, 2, "e13c986dd591f34d"),
+    (0, 0, 1, "354b09f547e00397"),
+    (0, 2, 1, "919f5eb57a81d0b9"),
+    (0, 1, 3, "a0f73c2efc8b7664"),
+    (0, 7, 2, "d98034475d6d514d"),
+    (1, 2, 2, "27455c91e98693ce"),
 ]
+COVER_IDS = [f"{level}-{n}-{N}" for level, n, N, _ in COVER_DIGESTS]
 
 
 def cover_digest(cover) -> str:
     h = hashlib.sha256()
     s = cover.surface
-    for a, dtype in ((s.faces, "<i8"), (s.glue, "<i8"), (s.lengths, "<f8"),
-                     (cover.copy_vertex, "<i8"), (cover.deck_vertex, "<i8"),
-                     (cover.piece, "<i8")):
-        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    for a in (s.faces, s.glue, cover.copy_vertex, cover.deck_vertex, cover.piece):
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
     for lift in cover.lifts:
         h.update(np.asarray(lift.vertices, dtype="<i8").tobytes())
         h.update(np.asarray(lift.edges, dtype="<i8").tobytes())
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("level, n, N, digest", COVER_DIGESTS)
+@pytest.mark.parametrize("level, n, N, digest", COVER_DIGESTS, ids=COVER_IDS)
 def test_cover_output_is_frozen(base_levels, level, n, N, digest):
     surface, gamma = base_levels[level]
     assert cover_digest(cyclic_cover(surface, gamma, n=n, N=N)) == digest
+
+
+@pytest.mark.parametrize("level, n, N", [c[:3] for c in COVER_DIGESTS], ids=COVER_IDS)
+def test_cover_lengths_tile_the_cut(base_levels, level, n, N):
+    surface, gamma = base_levels[level]
+    cover = cyclic_cover(surface, gamma, n=n, N=N)
+    assert cover.surface.lengths.tobytes() == np.tile(cover.cut.lengths,
+                                                      (cover.degree, 1)).tobytes()
 
 
 def test_identity_cover_reglues_to_base(base_r0):

@@ -6,17 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypspectra.hypgeom import (GeometryError, acosh1p, corner_angles, coshm1,
-                                geodesic_point, geodesic_transport,
-                                hexagon_seam_length, hyp_distance,
-                                midline_lengths, minkowski_dot, normalize_point,
-                                project_tangent, right_angled_hexagon,
-                                rotate_tangent, triangle_areas,
+                                hexagon_centroid_distances, hexagon_seam_length,
+                                midline_lengths, triangle_areas,
                                 validate_triangle_lengths)
-from oracles import FROZEN, close, geodesic_direction
+from oracles import (FROZEN, HEXAGON_R, close, geodesic_direction, geodesic_point,
+                     hyp_distance, minkowski_dot, right_angled_hexagon)
 
 side = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-arc = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 cuff = st.floats(min_value=0.5, max_value=4.0, allow_nan=False)
 
 
@@ -108,61 +105,63 @@ def test_acosh1p_matches_acosh_away_from_one():
         assert close(float(acosh1p(u)), math.acosh(1.0 + u), rel=1e-14)
 
 
-# -- hyperboloid flow --------------------------------------------------------
-
-@given(coord, coord, st.floats(min_value=0.0, max_value=2 * math.pi), arc)
-def test_geodesic_flow_stays_on_sheet(x1, x2, theta, t):
-    p = lift(x1, x2)
-    u = project_tangent(p, rotate_tangent(p, geodesic_direction(p, lift(0.3, -0.7))
-                                          if abs(x1 - 0.3) + abs(x2 + 0.7) > 1e-6
-                                          else np.array([0.0, 1.0, 0.0]), theta))
-    q = geodesic_point(p, u, t)
-    w = geodesic_transport(p, u, t)
-    assert abs(minkowski_dot(q, q) - 1.0) <= 1e-10
-    assert abs(minkowski_dot(q, w)) <= 1e-10
-    assert abs(minkowski_dot(w, w) + 1.0) <= 1e-10
-    # cosh-based distance has a sqrt(ulp) floor near coincident points
-    assert abs(hyp_distance(p, q) - abs(t)) <= 2e-7
-
-
-def chord_distance(p, q):
-    """2 asinh(|p - q| / 2) in the Minkowski norm: accurate for nearby points too.
-
-    hyp_distance forms cosh d - 1 by cancellation, so near coincident
-    points its absolute error is about eps / d (4e-10 at d = 1e-6).
-    """
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(-minkowski_dot(p - q, p - q)))
-
+# -- reference checks in the hyperboloid model --------------------------------
 
 @given(coord, coord, coord, coord)
 def test_midpoint_is_equidistant(x1, y1, x2, y2):
     p, q = lift(x1, y1), lift(x2, y2)
-    d = chord_distance(p, q)
+    d = hyp_distance(p, q)
     if d < 1e-6:
         return
     m = geodesic_point(p, geodesic_direction(p, q), d / 2)
-    assert abs(chord_distance(p, m) - d / 2) <= 1e-10
-    assert abs(chord_distance(m, q) - d / 2) <= 1e-10
+    assert abs(hyp_distance(p, m) - d / 2) <= 1e-10
+    assert abs(hyp_distance(m, q) - d / 2) <= 1e-10
 
 
 # -- hexagons ---------------------------------------------------------------
 
+def hexagon_sides(l1, l2, l3):
+    return [l1 / 2, hexagon_seam_length(l1, l2, l3),
+            l2 / 2, hexagon_seam_length(l2, l3, l1),
+            l3 / 2, hexagon_seam_length(l3, l1, l2)]
+
+
 @given(cuff, cuff, cuff)
 @settings(max_examples=25, deadline=None)
 def test_seam_triples_close_a_right_angled_hexagon(l1, l2, l3):
-    sides = [l1 / 2, hexagon_seam_length(l1, l2, l3),
-             l2 / 2, hexagon_seam_length(l2, l3, l1),
-             l3 / 2, hexagon_seam_length(l3, l1, l2)]
-    corners = right_angled_hexagon(sides)
-    assert corners.shape == (6, 3)
+    sides = hexagon_sides(l1, l2, l3)
+    corners, frame = right_angled_hexagon(sides)
+    assert np.max(np.abs(frame - np.eye(3))) <= 1e-9 * np.max(np.abs(frame))
     for k in range(6):
         d = hyp_distance(corners[k], corners[(k + 1) % 6])
         assert abs(d - sides[k]) <= 1e-9 * max(1.0, sides[k])
+    total = corners.sum(axis=0)
+    centroid = total / math.sqrt(minkowski_dot(total, total))
+    walked = hyp_distance(centroid, corners)
+    assert np.all(np.abs(hexagon_centroid_distances(sides) - walked) <= 1e-9 * walked)
 
 
-def test_hexagon_rejects_inconsistent_sides():
+@pytest.mark.parametrize("cuffs", sorted(HEXAGON_R))
+def test_hexagon_centroid_distances_frozen(cuffs):
+    r = hexagon_centroid_distances(hexagon_sides(*cuffs))
+    assert np.all(np.abs(r - HEXAGON_R[cuffs]) <= 1e-13 * np.array(HEXAGON_R[cuffs]))
+
+
+def test_hexagon_rejects_bad_sides():
     with pytest.raises(GeometryError):
-        right_angled_hexagon([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        hexagon_centroid_distances([1.0] * 5)
+    with pytest.raises(GeometryError):
+        hexagon_centroid_distances([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+    with pytest.raises(GeometryError):
+        hexagon_centroid_distances([500.0] * 6)
+
+
+@pytest.mark.parametrize("cuffs", [(1.0, 1.0, 1500.0), (1500.0, 1.0, 1.0),
+                                   (1000.0, 1000.0, 1.0), (1e-160, 1e-160, 1.0),
+                                   (1e-170, 1e-170, 1.0)])
+def test_seam_out_of_float_range_is_a_geometry_error(cuffs):
+    with pytest.raises(GeometryError, match="float64"):
+        hexagon_seam_length(*cuffs)
 
 
 # -- validation --------------------------------------------------------------
@@ -176,14 +175,3 @@ def test_degenerate_triangles_rejected():
         corner_angles(np.array([3.0, 1.0, 1.0]))
     with pytest.raises(GeometryError):
         triangle_areas(np.array([3.0, 1.0, 1.0]))
-
-
-def test_normalize_rejects_spacelike():
-    with pytest.raises(GeometryError):
-        normalize_point(np.array([0.1, 1.0, 0.0]))
-
-
-def test_project_tangent_rejects_parallel():
-    p = lift(0.0, 0.0)
-    with pytest.raises(GeometryError):
-        project_tangent(p, p)

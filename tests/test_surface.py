@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypspectra.fem import refine
+from hypspectra.hypgeom import GeometryError
 from hypspectra.surface import (CurveError, FenchelNielsenSpec, MeshError,
                                 TriangulatedSurface, build_surface, curve_from_sides,
                                 cut_along, read_hypmesh, write_hypmesh)
-from oracles import FROZEN, close
+from oracles import FAR_CUFFS, FROZEN, close
 
 cuff = st.floats(min_value=0.8, max_value=3.5, allow_nan=False)
 twist = st.integers(min_value=-4, max_value=4)
@@ -55,6 +56,26 @@ def test_builder_invariants(l1, l2, l3, t1, t2, t3, m):
     cut_along(surface, gamma)              # raises if gamma separates
     assert abs(surface.total_area() - 4 * math.pi) <= 1e-8
 
+
+@pytest.mark.parametrize("cuffs", FAR_CUFFS)
+def test_builder_far_from_default_cuffs(cuffs):
+    surface, gamma = build_surface(FenchelNielsenSpec(cuff_lengths=cuffs))
+    surface.validate()
+    assert surface.genus == 2
+    assert abs(gamma.length - cuffs[0]) <= 1e-9 * max(1.0, cuffs[0])
+
+
+log_cuff = st.floats(min_value=math.log(1e-3), max_value=math.log(2000.0)).map(math.exp)
+
+
+@given(log_cuff, log_cuff, log_cuff)
+@settings(max_examples=40, deadline=None)
+def test_builder_builds_or_names_the_failure(l1, l2, l3):
+    try:
+        surface, _ = build_surface(FenchelNielsenSpec(cuff_lengths=(l1, l2, l3)))
+    except (MeshError, GeometryError):
+        return
+    assert np.all(np.isfinite(surface.corner_angles()))
 
 
 # Frozen digests of the builder's combinatorics: faces, glue, and gamma's
