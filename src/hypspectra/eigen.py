@@ -8,13 +8,13 @@ serves as a cross-check on small problems.  The two share no
 factorization or iteration code, so agreement between them is
 meaningful evidence.
 
-`solve_smallest` factors K - sigma B with SuperLU once per solve.  By
-default SuperLU picks a COLAMD column order, which knows nothing of the
-mesh.  A caller that has a better order passes it: `converge` passes
-the nested-dissection order that `fem.dissection` reads off the
-refinement tree, which cuts the factors' fill at refinement 5 from
-10.1M to 6.3M entries.  Pencils with no face tree (random pencils, the
-character pencils below) keep COLAMD.
+`solve_smallest` factors K - sigma B with SuperLU once per solve and
+runs ARPACK on it.  By default SuperLU picks a COLAMD column order,
+which knows nothing of the mesh.  A caller that has a better order
+passes it: `converge` passes the nested-dissection order that
+`fem.dissection` reads off the refinement tree, which cuts the factors'
+fill at refinement 5 from 10.1M to 6.3M entries.  Pencils with no face
+tree (random pencils) keep COLAMD.
 
 `CharacterSolver` gives the low spectra of cyclic covers without
 forming them (Floquet-Bloch theory; Sunada, Ann. Math. 1985).  The deck
@@ -46,19 +46,29 @@ eigenvalues to hold as many of the cover's as it wants, puts sigma just
 above the smallest values found, counts every phase's eigenvalues below
 sigma through its S(w), and solves each phase with a positive count for
 that many, so Lanczos seldom runs for more than one eigenvalue of a
-phase.  Each phase's count
-must equal the number of its solved eigenvalues below sigma, so no
-eigenvalue below sigma is missed without the solve failing.
+phase.  Each phase's count must equal the number of its solved
+eigenvalues below sigma, so no eigenvalue below sigma is missed without
+the solve failing.
+
+The same blocks serve the solves.  The Lanczos shift sigma_L < 0 is the
+same for every phase, so one real LDL^T of A_II(sigma_L), made once per
+solver, and the seam columns it has solved give every phase's
+shift-invert operator: only the s x s seam Schur complement S_L(w)
+depends on the phase, and its Cholesky factor replaces a complex sparse
+factorization of the whole phase pencil.  The phases are solved by a
+short Hermitian Lanczos run (`_lanczos`) that keeps its whole basis, not
+by ARPACK, whose complex path is a general non-Hermitian Arnoldi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cholesky, eigh
+from scipy.linalg import LinAlgError, cho_solve, cholesky, eigh, eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
@@ -75,10 +85,12 @@ __all__ = [
 DENSE_ORACLE_MAX_DOF = 2000
 
 # Krylov bases as (extra eigenpairs solved for, Krylov vectors per
-# eigenpair, least Krylov vectors).  A single pencil may carry doubles
-# forced by a symmetry, and a Krylov space started from one vector
-# finds the second copy only through roundoff, so solve_smallest keeps
-# a roomy basis for a cold start; a warm start's block carries both
+# eigenpair, least Krylov vectors): ARPACK's basis size for
+# solve_smallest, and the steps before the first convergence test of a
+# character phase's Lanczos run (_lanczos).  A single pencil may carry
+# doubles forced by a symmetry, and a Krylov space started from one
+# vector finds the second copy only through roundoff, so solve_smallest
+# keeps a roomy basis for a cold start; a warm start's block carries both
 # copies, and it solves for the wanted pairs alone (see solve_smallest).
 # A character pencil has no deck-forced doubles; the
 # symmetries of the base can still force some, and the lean basis finds
@@ -97,12 +109,21 @@ LOWEST_BASIS = (0, 2, 10)
 # small one leaves the higher phases with no eigenvalue below the shift.
 SLICE_MARGIN = 1e-6
 
+# Steps a character phase's Lanczos run may take, and the normwise
+# backward error each wanted pair must reach.  The Ritz estimate alone,
+# at tol 1e-9, leaves backward errors of 1e-11 to 1e-10 on refine-2
+# phases; ARPACK's restarted runs, which test convergence only on a full
+# basis, ended far below it.
+LANCZOS_STEPS = 200
+LANCZOS_BACKWARD = 1e-13
+
 # Seam Schur complements per eigvalsh call.  Stacking every phase of a
 # high degree at once costs memory and gains no speed.
 SCHUR_CHUNK = 16
 
 # Seam columns per solve with the interior block.  The 2s columns of a
-# refine-4 sweep at once would hold two dense 16766 x 256 arrays (69 MB).
+# refine-4 sweep at once would hold a dense 16766 x 256 right-hand side
+# (34 MB) beside the solution Z.
 SOLVE_COLUMNS = 64
 
 
@@ -116,7 +137,8 @@ class SpectrumResult:
 
     ncv is the size of the Krylov basis and lu_fill the number of entries
     SuperLU stores for the L and U factors of K - shift B (SuperLU.nnz);
-    both are 0 when the pairs came from a dense solve.
+    both are 0 when the pairs came from a dense solve, and lu_fill is 0
+    for a character phase, which factors no pencil of its own.
     """
 
     values: np.ndarray
@@ -203,13 +225,6 @@ def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
         raise EigensolverError("count must be at least 1")
     if count > n:
         raise EigensolverError(f"asked for {count} eigenvalues of a {n}-dof problem")
-    basis = ROOMY_BASIS if start is None else WARM_BASIS
-    return _shift_invert(K, B, count, basis, tol, seed, start, order)
-
-
-def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
-                  start=None, order=None) -> SpectrumResult:
-    n = K.shape[0]
     if start is not None:
         start = np.asarray(start)
         if start.ndim != 2 or start.shape[0] != n:
@@ -256,7 +271,7 @@ def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
         v0 = rng.standard_normal(n).astype(dtype)
     else:
         v0 = (start @ rng.standard_normal(start.shape[1])).astype(dtype)
-    extra, per_pair, least = basis
+    extra, per_pair, least = ROOMY_BASIS if start is None else WARM_BASIS
     k_solve = min(count + extra, k_max)
     ncv = min(n, max(per_pair * k_solve + 1, least))
     try:
@@ -271,6 +286,79 @@ def _shift_invert(K, B, count: int, basis, tol: float, seed: int,
     res = residuals(K, B, values, vectors)
     return SpectrumResult(values, vectors, res, iterations=applies, dof=n,
                           shift=sigma, ncv=ncv, lu_fill=lu.nnz)
+
+
+def _lanczos(K, B, sigma: float, solve, count: int, basis, tol: float,
+             seed: int) -> SpectrumResult:
+    """The `count` smallest eigenpairs of (K, B) by Hermitian shift-invert Lanczos.
+
+    `solve(b)` applies (K - sigma B)^{-1}, which must be positive
+    definite.  The operator (K - sigma B)^{-1} B is self-adjoint in the
+    B inner product, and its eigenvalues theta = 1/(lambda - sigma) are
+    largest at the smallest lambda.  Each step applies it once to the
+    newest basis vector and B-orthogonalises the result against the
+    whole basis, twice (classical Gram-Schmidt), so the basis stays
+    B-orthonormal to roundoff and the Ritz pairs of the tridiagonal
+    projection need no restart.  The basis and its image under B are
+    stored one vector per row, for the reorthogonalisation reads them
+    whole at every step.  The starting vector is a standard normal
+    vector of the seed.
+
+    `basis` is (extra, per_pair, least): the first convergence test
+    comes after max(per_pair * k + 1, least) steps, and each test looks
+    at the k = count + extra largest Ritz values, for the second copy of
+    a double eigenvalue enters a Krylov space only through roundoff and
+    may be the last to show.  The run stops when every tested pair's
+    Ritz estimate is at most tol * theta (ARPACK's test) and every
+    wanted pair's normwise backward error on (K, B), which the Lanczos
+    relation gives as |y_m| |(K - sigma B) r| / (theta (|K|_1 +
+    |lambda| |B|_1) |x|) for the residual vector r, is at most
+    LANCZOS_BACKWARD.  A run still short after LANCZOS_STEPS steps
+    raises.  `iterations` is the number of steps, one apply of `solve`
+    each, and lambda = sigma + 1/theta.
+    """
+    n = K.shape[0]
+    dtype = np.result_type(K.dtype, B.dtype, np.float64)
+    extra, per_pair, least = basis
+    k = min(count + extra, n)
+    first = min(n, max(per_pair * k + 1, least))
+    cap = min(n, LANCZOS_STEPS)
+    Q = np.empty((first, n), dtype)
+    P = np.empty_like(Q)            # conj(B q) per row, so P w holds the B inner products
+    alpha, beta = np.empty(cap), np.empty(cap)
+    norm_k, norm_b = spnorm(K, 1), spnorm(B, 1)
+    q = np.random.default_rng(seed).standard_normal(n).astype(dtype)
+    bq = B @ q
+    scale = math.sqrt(np.vdot(q, bq).real)
+    Q[0], bq = q / scale, bq / scale
+    P[0] = np.conj(bq)
+    for m in range(1, cap + 1):
+        w = solve(bq)
+        alpha[m - 1] = (P[m - 1] @ w).real
+        for _ in range(2):
+            w -= (P[:m] @ w) @ Q[:m]
+        bq = B @ w
+        beta[m - 1] = math.sqrt(max(np.vdot(w, bq).real, 0.0))
+        if m >= first or beta[m - 1] == 0.0:
+            theta, Y = eigh_tridiagonal(alpha[:m], beta[:m - 1])
+            theta, Y = theta[:-k - 1:-1], Y[:, :-k - 1:-1]
+            values, X = sigma + 1.0 / theta, Y.T @ Q[:m]
+            estimate = beta[m - 1] * np.abs(Y[-1])
+            backward = (np.abs(Y[-1, :count]) * np.linalg.norm(K @ w - sigma * bq)
+                        / (theta[:count] * (norm_k + np.abs(values[:count]) * norm_b)
+                           * np.linalg.norm(X[:count], axis=1)))
+            if np.all(estimate <= tol * theta) and np.all(backward <= LANCZOS_BACKWARD):
+                break
+        if m == cap:
+            raise EigensolverError(f"Lanczos did not converge in {cap} steps")
+        if m == len(Q):
+            more = np.empty((min(m, cap - m), n), dtype)
+            Q, P = np.vstack([Q, more]), np.vstack([P, more])
+        Q[m], bq = w / beta[m - 1], bq / beta[m - 1]
+        P[m] = np.conj(bq)
+    values, vectors = values[:count], X[:count].T
+    return SpectrumResult(values, vectors, residuals(K, B, values, vectors),
+                          iterations=m, dof=n, shift=sigma, ncv=m)
 
 
 def _dense_pairs(K: np.ndarray, B: np.ndarray, count: int):
@@ -420,9 +508,18 @@ class CharacterSolver:
     the first time any degree asks it for a given number of eigenvalues,
     and each such solve keeps only its eigenvalues and residuals, so a
     degree's spectrum has the same bits whichever degrees came before.
-    Each solve is a shift-invert Lanczos run, with LOWEST_BASIS for one
-    eigenvalue and CHARACTER_BASIS for more; a phase with 0 < p/q < 1/2
-    stands for k and d-k, so it lists each eigenvalue twice.
+    Each solve is a Hermitian shift-invert Lanczos run (`_lanczos`), with
+    LOWEST_BASIS for one eigenvalue and CHARACTER_BASIS for more; a
+    phase with 0 < p/q < 1/2 stands for k and d-k, so it lists each
+    eigenvalue twice.  Every run shares one shift sigma_L and one real
+    LDL^T of A_II(sigma_L), made at the first solve: with Z = A_II^{-1}
+    [X0 X1], phase w's solve is y = A_II^{-1} b_I, x_S = S_L(w)^{-1}
+    (b_S - (X0 + w X1)^H y), x_I = y - (Z0 + w Z1) x_S, where S_L(w) is
+    the seam Schur complement at sigma_L, positive definite, and factored
+    by Cholesky once per phase.  So a spectrum factors one sparse matrix,
+    its A_II(sigma) for the counts, and the solver one more.  A
+    spectrum's `iterations` are its Lanczos steps, one operator apply
+    each.
     """
 
     def __init__(self, pencil, base_vertex, seam, count: int, tol: float, seed: int):
@@ -430,10 +527,18 @@ class CharacterSolver:
             raise EigensolverError("count must be at least 2: the slicing shift "
                                    "must lie above the kernel")
         base_vertex = np.asarray(base_vertex, dtype=np.int64)
+        seam = np.asarray(seam, dtype=np.int64)
         self.dof = int(base_vertex.max()) + 1
         self.count, self.tol, self.seed = count, tol, seed
-        self._parts = _phase_parts(pencil, base_vertex, seam)
-        self._seam = _seam_blocks(self._parts, base_vertex[np.asarray(seam, dtype=np.int64)])
+        # Number the base vertices off the seam first and those on it
+        # last, each in base order, so every phase pencil is blocked as
+        # [I; S] and a solve needs no permutation.
+        on_seam = np.zeros(self.dof, dtype=bool)
+        on_seam[base_vertex[seam]] = True
+        rank = np.empty(self.dof, dtype=np.int64)
+        rank[np.argsort(on_seam, kind="stable")] = np.arange(self.dof)
+        self._parts = _phase_parts(pencil, rank[base_vertex], seam)
+        self._seam = _seam_blocks(self._parts, rank[base_vertex[seam]])
         self._solves = {}
 
     def spectrum(self, degree: int) -> CharacterSpectrum:
@@ -496,11 +601,28 @@ class CharacterSolver:
                                  below_sigma=below)
 
     def _counts(self, phases: list, sigma: float) -> np.ndarray:
-        """Eigenvalues below sigma of each phase's character pencil, by inertia.
+        """Eigenvalues below sigma of each phase's character pencil, by inertia."""
+        negative, _, _, _, (fixed, cross, cross_h) = self._interior(sigma, keep_z=False)
+        w = np.array([_character(phase) for phase in phases], dtype=complex)[:, None, None]
+        counts = np.full(len(phases), negative)
+        for at in range(0, len(phases), SCHUR_CHUNK):
+            chunk = w[at:at + SCHUR_CHUNK]
+            schur = fixed + chunk * cross + np.conj(chunk) * cross_h
+            counts[at:at + SCHUR_CHUNK] += np.count_nonzero(np.linalg.eigvalsh(schur) < 0,
+                                                            axis=1)
+        return counts
+
+    def _interior(self, sigma: float, keep_z: bool) -> tuple:
+        """A_II = K_II - sigma B_II factored as LDL^T, and the seam Schur parts at sigma.
 
         SuperLU in symmetric mode, with no threshold pivoting, factors
         P A_II P^T = L U with one permutation P, and then U = D L^T: the
         negative entries of D are A_II's negative eigenvalues (Sylvester).
+        Returns (the number of those, the factorization, X = [X0 X1],
+        Z = A_II^{-1} X, (fixed, cross, cross_h)), where S(w) = fixed +
+        w cross + conj(w) cross_h is the seam Schur complement of A(w).
+        Z is solved SOLVE_COLUMNS columns at a time, and kept whole only
+        if `keep_z` (it is None otherwise).
         """
         (KII, KX, KSS), (BII, BX, BSS) = self._seam
         try:
@@ -516,25 +638,39 @@ class CharacterSolver:
         if not np.all(np.isfinite(pivots) & (pivots != 0)):
             raise EigensolverError("the interior block A_II is singular")
         X = KX - sigma * BX
-        G = np.hstack([X.T @ lu.solve(X[:, at:at + SOLVE_COLUMNS].toarray())
-                       for at in range(0, X.shape[1], SOLVE_COLUMNS)])
+        Z = np.empty(X.shape) if keep_z else None
+        G = np.empty((X.shape[1], X.shape[1]))
+        for at in range(0, X.shape[1], SOLVE_COLUMNS):
+            z = lu.solve(X[:, at:at + SOLVE_COLUMNS].toarray())
+            G[:, at:at + SOLVE_COLUMNS] = X.T @ z
+            if keep_z:
+                Z[:, at:at + SOLVE_COLUMNS] = z
         if not np.all(np.isfinite(G)):
             raise EigensolverError("the solve with the interior block A_II is not finite")
         s = G.shape[0] // 2
         SS = KSS - sigma * BSS
-        fixed = SS[0] - G[:s, :s] - G[s:, s:]
-        cross, cross_h = SS[1] - G[:s, s:], SS[2] - G[s:, :s]
-        w = np.array([_character(phase) for phase in phases], dtype=complex)[:, None, None]
-        counts = np.full(len(phases), np.count_nonzero(pivots < 0))
-        for at in range(0, len(phases), SCHUR_CHUNK):
-            chunk = w[at:at + SCHUR_CHUNK]
-            schur = fixed + chunk * cross + np.conj(chunk) * cross_h
-            counts[at:at + SCHUR_CHUNK] += np.count_nonzero(np.linalg.eigvalsh(schur) < 0,
-                                                            axis=1)
-        return counts
+        schur = SS[0] - G[:s, :s] - G[s:, s:], SS[1] - G[:s, s:], SS[2] - G[s:, :s]
+        return int(np.count_nonzero(pivots < 0)), lu, X, Z, schur
+
+    @cached_property
+    def _shift(self) -> tuple:
+        """The Lanczos shift sigma_L and the interior factorization at it.
+
+        sigma_L = -1e-2 trace(K(w))/dof is the same for every phase w,
+        for the phase parts p = 1, 2 hold no diagonal entry.  A_II(sigma_L)
+        is positive definite, so its LDL^T serves every phase's solve.
+        """
+        indptr, indices, kparts, _ = self._parts
+        trace = sparse.csr_matrix((kparts[0], indices, indptr)).diagonal().sum()
+        sigma = -1e-2 * trace / self.dof
+        return sigma, self._interior(sigma, keep_z=True)
 
     def _pencil(self, phase: tuple):
-        """(K, B) of phase p/q's character w = exp(2 pi i p / q) over the base vertices."""
+        """(K, B) of phase p/q's character w = exp(2 pi i p / q) over the base vertices.
+
+        The vertices off the seam come first and those on it last, each
+        in base order.
+        """
         w = _character(phase)
         indptr, indices, kparts, bparts = self._parts
         V = self.dof
@@ -545,4 +681,41 @@ class CharacterSolver:
         """The `want` smallest eigenpairs of phase p/q's character pencil."""
         K, B = self._pencil(phase)
         basis = LOWEST_BASIS if want == 1 else CHARACTER_BASIS
-        return _shift_invert(K, B, want, basis, self.tol, self.seed)
+        return _lanczos(K, B, self._shift[0], self._inverse(phase), want, basis,
+                        self.tol, self.seed)
+
+    def _inverse(self, phase: tuple):
+        """b -> (K(w) - sigma_L B(w))^{-1} b for phase p/q, from the shared factorization.
+
+        By blocks: y = A_II^{-1} b_I, then the seam part x_S = S_L(w)^{-1}
+        (b_S - (X0 + w X1)^H y), and x_I = y - (Z0 + w Z1) x_S.  Only
+        S_L(w) depends on the phase; its Cholesky factorization shows it
+        positive definite and gives its s x s inverse once per phase.  A
+        complex vector meets the real factorization, X and Z as its real
+        and imaginary parts, two columns of one real product.
+        """
+        sigma, (_, lu, X, Z, (fixed, cross, cross_h)) = self._shift
+        w = _character(phase)
+        s, inner, XT = fixed.shape[0], Z.shape[0], X.T
+        try:
+            chol = cholesky(fixed + w * cross + np.conj(w) * cross_h, lower=True)
+        except LinAlgError as e:
+            raise EigensolverError(f"the seam Schur complement S_L(w) at the Lanczos "
+                                   f"shift sigma={sigma!r} is not positive definite") from e
+        schur_inv = cho_solve((chol, True), np.eye(s))
+        dtype = np.result_type(w, np.float64)
+
+        def split(v):
+            # the real and imaginary parts of v as columns, or v alone if real
+            return v.view(np.float64).reshape(len(v), -1)
+
+        def join(a):
+            return np.ascontiguousarray(a).view(dtype)[:, 0]
+
+        def solve(b):
+            y = lu.solve(split(b[:inner]))
+            edge = join(XT @ y)
+            x_s = schur_inv @ (b[inner:] - edge[:s] - np.conj(w) * edge[s:])
+            return np.concatenate([join(y - Z @ split(np.concatenate([x_s, w * x_s]))), x_s])
+
+        return solve

@@ -352,11 +352,17 @@ class _HexagonFan:
         for q in range(6):
             cnt = self.counts[q]
             x = S[q] * np.arange(1, cnt) / cnt
-            u = hypgeom.coshm1(r - x) + math.sinh(r) * np.sinh(x) * versin
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = hypgeom.coshm1(r - x) + math.sinh(r) * np.sinh(x) * versin
+                u_far = hypgeom.coshm1(r - S[q]) + math.sinh(r) * math.sinh(S[q]) * versin
+            # acosh1p squares u, so u must lie in [0, 1e150); a negative u
+            # has left the hexagon, and a huge one the float64 range.
+            if not (np.all((u >= 0) & (u < 1e150)) and 0 <= u_far < 1e150):
+                raise hypgeom.GeometryError(
+                    "spoke propagation left the domain of arccosh(1 + u), 0 <= u < 1e150")
             o = int(self.offsets[q])
             self.spokes[o] = r
             self.spokes[o + 1:o + cnt] = hypgeom.acosh1p(u)
-            u_far = hypgeom.coshm1(r - S[q]) + math.sinh(r) * math.sinh(S[q]) * versin
             r_far = float(hypgeom.acosh1p(u_far))
             v_far = corner_versin(r_far, r, S[q])
             drift = abs(r_far - corner_dist[(q + 1) % 6])

@@ -96,17 +96,17 @@ def drop_lowest_of_complex_pencils(monkeypatch, spare: int):
 
     It solves for `spare` more eigenvalues than asked before dropping one.
     """
-    real = eigen._shift_invert
+    real = eigen._lanczos
 
-    def shift_invert(K, B, count, *args):
+    def lanczos(K, B, sigma, solve, count, *args):
         if not np.iscomplexobj(K.data):
-            return real(K, B, count, *args)
-        result = real(K, B, count + spare, *args)
+            return real(K, B, sigma, solve, count, *args)
+        result = real(K, B, sigma, solve, count + spare, *args)
         return SpectrumResult(result.values[1:], result.vectors[:, 1:],
                               result.residuals[1:], result.iterations, result.dof,
                               result.shift)
 
-    monkeypatch.setattr(eigen, "_shift_invert", shift_invert)
+    monkeypatch.setattr(eigen, "_lanczos", lanczos)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, eye
+from scipy.sparse.linalg import splu
 
 from hypspectra import eigen
 from hypspectra.cover import cut_along, cyclic_cover
@@ -352,6 +353,14 @@ def character_solver(cut, pencil, count):
                            count=count, tol=1e-9, seed=0)
 
 
+def factored_solver(cut):
+    """A solver whose shared Lanczos factorization is made already, so a
+    fault injected into `splu` afterwards reaches the inertia counts alone."""
+    solver = character_solver(cut, assemble(cut), count=4)
+    assert solver._shift[0] < 0
+    return solver
+
+
 def cover_characters(cover, mass="consistent", count=None):
     count = cover.n + 2 if count is None else count
     solver = character_solver(cover.cut, assemble(cover.cut, mass=mass), count)
@@ -500,6 +509,67 @@ def test_phase_spectra_independent_of_earlier_degrees(small_cover):
         assert cached.residuals.tobytes() == fresh.residuals.tobytes()
 
 
+# -- the shared interior factorization and the phase Lanczos -----------------------
+
+PHASES = [(0, 1), (1, 2), (1, 3), (5, 48)]     # w = 1, w = -1 and two complex w
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_shared_factorization_solves_every_phase(base_levels, level):
+    # The block solve through A_II(sigma_L) and S_L(w) against one
+    # complex SuperLU factorization of the whole phase pencil.
+    surface, gamma = base_levels[level]
+    cut = cut_along(surface, gamma)
+    solver = character_solver(cut, assemble(cut), count=4)
+    sigma = solver._shift[0]
+    rng = np.random.default_rng(3)
+    for phase in PHASES:
+        K, B = solver._pencil(phase)
+        assert abs(sigma + 1e-2 * K.diagonal().sum().real / solver.dof) <= 1e-15 * abs(sigma)
+        b = rng.standard_normal(solver.dof)
+        if np.iscomplexobj(K.data):
+            b = b + 1j * rng.standard_normal(solver.dof)
+        direct = splu((K - sigma * B).tocsc()).solve(b)
+        x = solver._inverse(phase)(b)
+        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct), phase
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_phase_lanczos_matches_dense(base_levels, level):
+    surface, gamma = base_levels[level]
+    cut = cut_along(surface, gamma)
+    solver = character_solver(cut, assemble(cut), count=4)
+    for phase, want in zip(PHASES, (5, 2, 3, 1)):
+        result = solver._solve(phase, want)
+        K, B = solver._pencil(phase)
+        reference = dense_character_values(solver, phase, count=want)
+        scale = K.diagonal().sum().real / solver.dof
+        floor = np.maximum(np.abs(reference), scale if phase == (0, 1) else 0.0)
+        assert np.all(np.abs(result.values - reference) <= 1e-10 * floor), phase
+        assert result.residuals.max() <= 1e-12
+        gram = result.vectors.conj().T @ (B @ result.vectors)
+        assert np.abs(gram - np.eye(want)).max() <= 1e-10
+        assert result.iterations == result.ncv >= 10
+
+
+def test_phase_past_the_step_cap_fails_by_name(small_cover, monkeypatch):
+    monkeypatch.setattr(eigen, "LANCZOS_STEPS", 8)
+    solver = character_solver(small_cover.cut, assemble(small_cover.cut), count=4)
+    with pytest.raises(EigensolverError, match="character k=0 of degree 3: Lanczos did not "
+                                               "converge in 8 steps"):
+        solver.spectrum(3)
+
+
+def test_indefinite_seam_schur_complement_fails_by_name(small_cover):
+    solver = factored_solver(small_cover.cut)
+    fixed = solver._shift[1][4][0]
+    fixed -= 2 * np.abs(fixed).sum() * np.eye(len(fixed))
+    with pytest.raises(EigensolverError,
+                       match=r"character k=0 of degree 3: the seam Schur complement S_L\(w\) "
+                             r"at the Lanczos shift sigma=\S+ is not positive definite"):
+        solver.spectrum(3)
+
+
 # -- inertia counts and the slicing certificate -----------------------------------
 
 def lowest_terms_phases(max_degree):
@@ -577,24 +647,28 @@ def test_count_below_matches_dense_on_refinement_two(base_levels):
 
 def test_one_inertia_factorization_per_spectrum(base_levels, monkeypatch):
     real = eigen.splu
-    calls = {"inertia": 0, "all": 0}
+    calls = []
 
     def splu(A, **kwargs):
-        calls["all"] += 1
-        calls["inertia"] += "options" in kwargs
+        calls.append(kwargs)
         return real(A, **kwargs)
 
+    def eigsh(*args, **kwargs):
+        raise AssertionError("a character phase ran ARPACK")
+
     monkeypatch.setattr(eigen, "splu", splu)
+    monkeypatch.setattr(eigen, "eigsh", eigsh)
     surface, gamma = base_levels[2]
     cut = cut_along(surface, gamma)
     solver = character_solver(cut, assemble(cut), count=4)
-    for d in (48, 3072):
-        calls.update(inertia=0, all=0)
+    for d, shared in ((48, 1), (3072, 0)):
+        calls.clear()
         result = solver.spectrum(d)
-        # one LDL^T of the interior block counts all d//2 + 1 phases; every
-        # other factorization is a Lanczos solve of a phase with a count
-        assert calls["inertia"] == 1
-        assert calls["all"] == 1 + result.solved
+        # one LDL^T of the interior block counts all d//2 + 1 phases; the
+        # first spectrum also factors it once at the Lanczos shift, and
+        # that factorization serves every phase's solve
+        assert len(calls) == 1 + shared
+        assert all(kwargs["options"] == {"SymmetricMode": True} for kwargs in calls)
         phases = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k in range(1 + d // 2)]
         solved = [phase for phase in phases if any(phase == p for p, _ in solver._solves)]
         dense = [dense_character_values(solver, phase, count=8) for phase in solved]
@@ -613,12 +687,13 @@ def test_inertia_factorization_off_the_diagonal_names_the_seam(small_cover, monk
             return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
         return lu
 
-    monkeypatch.setattr(eigen, "splu", splu)
     cut = small_cover.cut
+    solver = factored_solver(cut)
+    monkeypatch.setattr(eigen, "splu", splu)
     with pytest.raises(EigensolverError,
                        match=r"seam Schur complement of degree 3 at sigma=\S+: "
                              r".*perm_r != perm_c"):
-        character_solver(cut, assemble(cut), count=4).spectrum(3)
+        solver.spectrum(3)
 
 
 @pytest.mark.parametrize("broken, why", [
@@ -638,12 +713,13 @@ def test_singular_interior_block_names_the_seam(small_cover, monkeypatch, broken
         U[3, 3] = 0.0
         return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=U, solve=lu.solve)
 
-    monkeypatch.setattr(eigen, "splu", splu)
     cut = small_cover.cut
+    solver = factored_solver(cut)
+    monkeypatch.setattr(eigen, "splu", splu)
     with pytest.raises(EigensolverError,
                        match=r"seam Schur complement of degree 6 at sigma=\S+: "
                              + re.escape(why)):
-        character_solver(cut, assemble(cut), count=4).spectrum(6)
+        solver.spectrum(6)
 
 
 def test_phase_dependent_interior_entry_fails_by_name(small_cover, monkeypatch):

@@ -68,6 +68,7 @@ def test_builder_far_from_default_cuffs(cuffs):
 log_cuff = st.floats(min_value=math.log(1e-3), max_value=math.log(2000.0)).map(math.exp)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(log_cuff, log_cuff, log_cuff)
 @settings(max_examples=40, deadline=None)
 def test_builder_builds_or_names_the_failure(l1, l2, l3):
