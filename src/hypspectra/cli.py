@@ -2,10 +2,10 @@
 
 Subcommands:
   build        write HYPMESH files for the base surface and each cover
-  sweep        one bound report per cover degree, as CSV + JSON, from
-               base-size pencils only: no cover is built
+  sweep        one bound report per cover degree, with its genus and
+               witness length, as CSV + JSON, from base-size pencils
+               only: no cover is built
   converge     refinement study of the low spectrum on the base surface
-  corollary    witness-length report derived from a previous sweep
   oracle-check cross-validate the sparse eigensolver, the mesh invariants and
                the base-level certificate against one built on the cover
 
@@ -54,9 +54,9 @@ TESTFN_CHOICES = ("two-sided", "one-sided")
 CSV_DOC = """\
 CSV columns (JSON carries a superset of every table):
   sweep.csv:     N,d,dof,lambda_0..lambda_{n+1},h,eta,t,bound,certificate,
-                 bound_holds,certificate_holds,failed,config_hash
+                 bound_holds,certificate_holds,genus,witness_length,ratio,
+                 failed,config_hash
   converge.csv:  level,dof,area,lambda_0..lambda_4,config_hash
-  corollary.csv: N,d,genus,witness_length,lambda_n,ratio,config_hash
 
 Config file: one `key = value` per line, `#` comments.  Keys: cuffs,
 twists, m (three comma-separated cuff lengths, three integer twists,
@@ -241,7 +241,9 @@ def _sweep_rows(config: RunConfig):
     again.  The certificate takes the ramps copy by copy on the cut, as
     base-level vectors, from its distances to the two boundary circles,
     which are computed once per sweep.  A row's dof is the cover's
-    vertex count, d times the base's.
+    vertex count, d times the base's; its genus is 1 + d(g-1), and its
+    witness length, the length of the n+1 lifts of gamma, is the same on
+    every row.  A failed row names its stage, "eigen" or "bound".
     """
     base, gamma = _base_pipeline(config)
     cut = cut_along(base, gamma)
@@ -258,8 +260,8 @@ def _sweep_rows(config: RunConfig):
             report = bound_report(cut, cut_pencil, spectrum, config.n, N,
                                   variant=config.testfn, dist=dist, base_area=base_area)
         except (EigensolverError, BoundError) as e:
-            row["failed"] = True
-            row["error"] = str(e)
+            row.update(failed=True, error=str(e),
+                       stage="eigen" if isinstance(e, EigensolverError) else "bound")
             rows.append(row)
             continue
         row["lambda"] = [float(v) for v in spectrum.values]
@@ -268,10 +270,13 @@ def _sweep_rows(config: RunConfig):
                         "max_residual": float(spectrum.residuals.max()),
                         "sigma": spectrum.sigma,
                         "below_sigma": spectrum.below_sigma}
+        witness = (config.n + 1) * report.curve_length
         row.update(h=report.h, eta=report.eta, t=report.t, bound=report.bound,
                    certificate=report.certificate,
                    bound_holds=report.bound_holds,
                    certificate_holds=report.certificate_holds,
+                   genus=1 + d * (base.genus - 1), witness_length=witness,
+                   ratio=report.lambda_n / witness,
                    report=report.as_dict())
         rows.append(row)
     return base, rows
@@ -317,23 +322,25 @@ def cmd_sweep(config: RunConfig) -> int:
 
     ok_rows = [r for r in rows if not r["failed"]]
     lam_n = [r["lambda"][config.n] for r in ok_rows]
-    monotone = all(b <= a * 1.02 for a, b in zip(lam_n, lam_n[1:]))
+    # The witness length is the same on every row, so this is also the
+    # ratio lambda_n / witness_length strictly decreasing.
+    decreasing = all(b < a for a, b in zip(lam_n, lam_n[1:]))
     bounds_hold = all(r["bound_holds"] for r in ok_rows)
     all_ok = not any(r["failed"] for r in rows)
-    asserted = {"lambda_n_non_increasing": monotone,
+    asserted = {"lambda_n_strictly_decreasing": decreasing,
                 "lambda_n_below_bound_each_row": bounds_hold,
                 "all_rows_succeeded": all_ok}
 
     lam_cols = [f"lambda_{k}" for k in range(config.n + 2)]
-    report_cols = ["h", "eta", "t", "bound", "certificate", "bound_holds",
-                   "certificate_holds"]
-    header = ["N", "d", "dof"] + lam_cols + report_cols + ["failed", "config_hash"]
+    row_cols = ["h", "eta", "t", "bound", "certificate", "bound_holds",
+                   "certificate_holds", "genus", "witness_length", "ratio"]
+    header = ["N", "d", "dof"] + lam_cols + row_cols + ["failed", "config_hash"]
     csv_rows = []
     for r in rows:
         lam = r.get("lambda", [None] * (config.n + 2))
         csv_rows.append([_cell(r["N"]), _cell(r["d"]), _cell(r["dof"])] +
                         [_cell(v) for v in lam] +
-                        [_cell(r.get(key)) for key in report_cols] +
+                        [_cell(r.get(key)) for key in row_cols] +
                         [_cell(r["failed"]), r["config_hash"]])
     _write_csv(out / "sweep.csv", header, csv_rows)
     _write_json(out / "sweep.json", {
@@ -345,7 +352,7 @@ def cmd_sweep(config: RunConfig) -> int:
 
     for r in rows:
         if r["failed"]:
-            print(f"N={r['N']:>3}  FAILED: {r['error']}")
+            print(f"N={r['N']:>3}  FAILED ({r['stage']}): {r['error']}")
         else:
             print(f"N={r['N']:>3} d={r['d']:>3} dof={r['dof']:>7} "
                   f"lambda_{config.n}={r['lambda'][config.n]:.8f} "
@@ -423,68 +430,6 @@ def cmd_converge(config: RunConfig) -> int:
     for f in flags:
         tag = "ok" if f["in_range"] else "OUT OF RANGE"
         print(f"ratio lambda_{f['k']} levels {f['levels']}: {f['ratio']}  [{tag}]")
-    print("asserted:", json.dumps(asserted))
-    return 0 if all(asserted.values()) else 1
-
-
-def cmd_corollary(config: RunConfig) -> int:
-    out = Path(config.out)
-    sweep_path = out / "sweep.json"
-    if not sweep_path.exists():
-        raise ConfigError(f"{sweep_path} not found; run `sweep` first")
-    sweep = json.loads(sweep_path.read_text())
-
-    chash = config_hash(config)
-    hashes = {r["config_hash"] for r in sweep["rows"]} | {sweep["config_hash"]}
-    if hashes != {chash}:
-        raise ConfigError(
-            f"sweep results at {sweep_path} were produced under config hash(es) "
-            f"{sorted(hashes)}, current config hashes to {chash}; refusing to mix")
-
-    base_genus = sweep["base_genus"]
-    rows = []
-    for r in sweep["rows"]:
-        if r["failed"]:
-            rows.append({"N": r["N"], "failed": True, "config_hash": chash})
-            continue
-        report = r["report"]
-        witness = (report["n"] + 1) * report["curve_length"]
-        lam = report["lambda_n"]
-        rows.append({"N": r["N"], "d": r["d"],
-                     "genus": 1 + r["d"] * (base_genus - 1),
-                     "witness_length": witness,
-                     "lambda_n": lam,
-                     "ratio": lam / witness,
-                     "failed": False,
-                     "config_hash": chash})
-
-    ok_rows = [r for r in rows if not r["failed"]]
-    ratios = [r["ratio"] for r in ok_rows]
-    decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
-    asserted = {"ratio_strictly_decreasing": decreasing,
-                "all_rows_succeeded": all(not r["failed"] for r in rows)}
-    note = ("witness_length is the total length of the constructed separating "
-            "multicurve, an UPPER bound for the minimal total length of any "
-            "multicurve cutting the cover into n+1 pieces (the minimum itself "
-            "is not computed).  Along the family the witness length is fixed "
-            "while lambda_n collapses and the genus grows linearly, so any "
-            "lower bound for lambda_n in terms of that minimal length divided "
-            "by area must carry a genus-dependent constant.")
-
-    header = ["N", "d", "genus", "witness_length", "lambda_n", "ratio", "config_hash"]
-    _write_csv(out / "corollary.csv", header,
-               [[_cell(r.get(k)) for k in header[:-1]] + [r["config_hash"]]
-                for r in rows])
-    _write_json(out / "corollary.json", {
-        **_envelope(config),
-        "note": note,
-        "rows": rows,
-        "asserted": asserted,
-    })
-    for r in ok_rows:
-        print(f"N={r['N']:>3} d={r['d']:>3} genus={r['genus']:>4} "
-              f"witness={r['witness_length']:.6f} lambda_n={r['lambda_n']:.8f} "
-              f"ratio={r['ratio']:.8f}")
     print("asserted:", json.dumps(asserted))
     return 0 if all(asserted.values()) else 1
 
@@ -664,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("build", "write HYPMESH files for the base surface and covers"),
             ("sweep", "bound report per cover degree (CSV + JSON)"),
             ("converge", "refinement study on the base surface"),
-            ("corollary", "witness report from an existing sweep"),
             ("oracle-check", "cross-validate the eigensolver and mesh invariants")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="key = value config file")
@@ -686,7 +630,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         handler = {"build": cmd_build, "sweep": cmd_sweep, "converge": cmd_converge,
-                   "corollary": cmd_corollary, "oracle-check": cmd_oracle_check}
+                   "oracle-check": cmd_oracle_check}
         return handler[args.command](config)
     except (ConfigError, MeshError, GeometryError, BoundError, EigensolverError) as e:
         print(f"error: {e}", file=sys.stderr)

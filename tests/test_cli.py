@@ -2,15 +2,22 @@ import csv
 import hashlib
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hypspectra.bound as bound_module
 import hypspectra.cli as cli_module
 import hypspectra.cover as cover_module
 import hypspectra.eigen as eigen_module
-from hypspectra.cli import (CSV_DOC, ConfigError, RunConfig, build_parser,
-                            config_hash, load_config, main, parse_config_file)
+from hypspectra.bound import BoundError
+from hypspectra.cli import (CSV_DOC, MASS_CHOICES, TESTFN_CHOICES, ConfigError, RunConfig,
+                            build_parser, config_hash, load_config, main,
+                            parse_config_file)
 from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import CharacterSolver, EigensolverError
 from hypspectra.surface import read_hypmesh
@@ -191,6 +198,14 @@ def test_unknown_subcommand_is_usage_error():
         main(["frobnicate"])
 
 
+def test_corollary_is_not_a_subcommand(tmp_path, capsys):
+    # its genus, witness length and ratio are sweep columns
+    with pytest.raises(SystemExit) as exit_info:
+        main(["corollary", "--out", str(tmp_path)] + TINY)
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'corollary'" in capsys.readouterr().err
+
+
 # -- build -------------------------------------------------------------------------
 
 def test_build_writes_verifiable_manifest(tmp_path):
@@ -243,7 +258,8 @@ def test_sweep_outputs(sweep_dir):
     header, rows = read_csv(sweep_dir / "sweep.csv")
     assert header == ["N", "d", "dof", "lambda_0", "lambda_1", "lambda_2",
                       "h", "eta", "t", "bound", "certificate", "bound_holds",
-                      "certificate_holds", "failed", "config_hash"]
+                      "certificate_holds", "genus", "witness_length", "ratio",
+                      "failed", "config_hash"]
     assert [r[0] for r in rows] == ["1", "2"]
     # dof is the cover's vertex count, d times the base's 64 vertices
     assert [r[header.index("dof")] for r in rows] == ["128", "256"]
@@ -305,10 +321,27 @@ def test_sweep_records_solver_failures(tmp_path, monkeypatch):
     doc = json.loads((out / "sweep.json").read_text())
     assert [row["failed"] for row in doc["rows"]] == [True, True]
     assert all("injected failure" in row["error"] for row in doc["rows"])
+    assert all(row["stage"] == "eigen" for row in doc["rows"])
     assert doc["asserted"]["all_rows_succeeded"] is False
     header, rows = read_csv(out / "sweep.csv")
     assert [r[header.index("failed")] for r in rows] == ["true", "true"]
-    assert [r[header.index("lambda_0")] for r in rows] == ["", ""]
+    for key in ("lambda_0", "genus", "witness_length", "ratio"):
+        assert [r[header.index(key)] for r in rows] == ["", ""]
+
+
+def test_sweep_failed_row_names_the_bound_stage(tmp_path, monkeypatch, capsys):
+    def explode(*args, **kwargs):
+        raise BoundError("injected failure")
+
+    monkeypatch.setattr(bound_module, "collar_data", explode)
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out)] + TINY) == 1
+    doc = json.loads((out / "sweep.json").read_text())
+    for row in doc["rows"]:
+        assert row["failed"] and row["stage"] == "bound"
+        assert row["error"] == "injected failure"
+        assert not {"lambda", "genus", "witness_length", "ratio"} & set(row)
+    assert "N=  2  FAILED (bound): injected failure" in capsys.readouterr().out
 
 
 def test_sweep_failed_phase_fails_only_its_row(tmp_path, monkeypatch):
@@ -347,6 +380,7 @@ def test_sweep_records_seam_schur_failure(tmp_path, monkeypatch):
     doc = json.loads((out / "sweep.json").read_text())
     assert [row["failed"] for row in doc["rows"]] == [True, True]
     for row in doc["rows"]:
+        assert row["stage"] == "eigen"
         assert re.search(rf"seam Schur complement of degree {row['d']} at sigma=\S+: "
                          r".*Factor is exactly singular", row["error"])
     assert doc["asserted"]["all_rows_succeeded"] is False
@@ -421,7 +455,44 @@ def test_sweep_pairs_deck_forced_double_eigenvalue(tmp_path):
     for row in doc["rows"]:
         assert row["lambda"][1] == row["lambda"][2]
         assert row["certificate_holds"] and row["bound_holds"]
-    assert doc["asserted"]["lambda_n_non_increasing"] is True
+    assert doc["asserted"]["lambda_n_strictly_decreasing"] is True
+
+
+def test_sweep_witness_columns(sweep_dir, base_r0):
+    # genus 1 + d(g-1) over the genus-2 base; the n+1 = 2 lifts of a
+    # length-2 gamma; lambda_1 falls, so the ratio does
+    header, rows = read_csv(sweep_dir / "sweep.csv")
+    assert [r[header.index("genus")] for r in rows] == ["3", "5"]
+    assert [r[header.index("witness_length")] for r in rows] == ["4.0", "4.0"]
+    doc = json.loads((sweep_dir / "sweep.json").read_text())
+    assert doc["asserted"]["lambda_n_strictly_decreasing"] is True
+    for row in doc["rows"]:
+        assert row["genus"] == cyclic_cover(*base_r0, n=1, N=row["N"]).surface.genus
+        assert row["ratio"] == row["lambda"][1] / row["witness_length"]
+    assert doc["rows"][1]["ratio"] < doc["rows"][0]["ratio"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 7), Ns=st.sets(st.integers(1, 64), min_size=1, max_size=4),
+       mass=st.sampled_from(MASS_CHOICES), testfn=st.sampled_from(TESTFN_CHOICES))
+def test_sweep_rows_certified_or_named(n, Ns, mass, testfn):
+    with tempfile.TemporaryDirectory() as out:
+        code = main(["sweep", "--out", out, "--refine", "0", "--n", str(n),
+                     "--N", ",".join(map(str, Ns)), "--mass", mass, "--testfn", testfn])
+        doc = json.loads((Path(out) / "sweep.json").read_text())
+    assert code == (0 if all(doc["asserted"].values()) else 1)
+    certified = []
+    for row in doc["rows"]:
+        if row["failed"]:
+            assert row["stage"] in ("eigen", "bound") and row["error"]
+            continue
+        assert row["certificate_holds"]
+        assert row["genus"] == 1 + row["d"]
+        assert row["witness_length"] == (n + 1) * 2.0
+        assert row["ratio"] == row["lambda"][n] / row["witness_length"]
+        certified.append(row["lambda"][n])
+    assert doc["asserted"]["lambda_n_strictly_decreasing"] == all(
+        b < a for a, b in zip(certified, certified[1:]))
 
 
 def test_sweep_testfn_variant_flows_through(tmp_path):
@@ -430,34 +501,6 @@ def test_sweep_testfn_variant_flows_through(tmp_path):
     doc = json.loads((out / "sweep.json").read_text())
     assert all(row["report"]["testfn_variant"] == "one-sided"
                for row in doc["rows"])
-
-
-# -- corollary ----------------------------------------------------------------------
-
-def test_corollary_from_sweep(sweep_dir):
-    assert main(["corollary", "--out", str(sweep_dir)] + TINY) == 0
-    header, rows = read_csv(sweep_dir / "corollary.csv")
-    assert header == ["N", "d", "genus", "witness_length", "lambda_n", "ratio",
-                      "config_hash"]
-    assert [r[header.index("genus")] for r in rows] == ["3", "5"]
-    assert [r[header.index("witness_length")] for r in rows] == ["4.0", "4.0"]
-    ratios = [float(r[header.index("ratio")]) for r in rows]
-    assert ratios[1] < ratios[0]
-    doc = json.loads((sweep_dir / "corollary.json").read_text())
-    assert list(doc)[:4] == ENVELOPE
-    assert all(doc["asserted"].values())
-    assert "genus" in doc["note"]
-
-
-def test_corollary_rejects_other_config(sweep_dir, capsys):
-    rc = main(["corollary", "--out", str(sweep_dir), "--refine", "0",
-               "--n", "1", "--N", "1,2", "--seed", "9"])
-    assert rc == 2
-    assert "refusing to mix" in capsys.readouterr().err
-
-
-def test_corollary_needs_a_sweep(tmp_path):
-    assert main(["corollary", "--out", str(tmp_path)] + TINY) == 2
 
 
 # -- converge -----------------------------------------------------------------------
@@ -526,10 +569,8 @@ def test_oracle_check_all_pass(tmp_path):
 # -- documentation ---------------------------------------------------------------------
 
 def test_csv_headers_match_csv_doc(sweep_dir, converge_dir):
-    assert main(["corollary", "--out", str(sweep_dir)] + TINY) == 0
     docs = documented_columns(n=1)
-    written = {"sweep.csv": sweep_dir, "converge.csv": converge_dir,
-               "corollary.csv": sweep_dir}
+    written = {"sweep.csv": sweep_dir, "converge.csv": converge_dir}
     assert set(docs) == set(written)
     for name, directory in written.items():
         header, _ = read_csv(directory / name)
