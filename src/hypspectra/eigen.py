@@ -70,7 +70,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve, cholesky, eigh, eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
-from scipy.sparse.linalg import norm as spnorm
 
 __all__ = [
     "CharacterSolver",
@@ -172,13 +171,21 @@ class CharacterSpectrum:
     below_sigma: int
 
 
-def residuals(K, B, values, vectors) -> np.ndarray:
+def _norm1(M) -> float:
+    """|M|_1 of a sparse matrix, bit for bit scipy.sparse.linalg.norm(M, 1):
+    each column is summed in the row order of scipy's transposed sum."""
+    M = M.tocsr()
+    return np.bincount(M.indices, weights=np.abs(M.data), minlength=M.shape[1]).max()
+
+
+def residuals(K, B, values, vectors, norms=None) -> np.ndarray:
     """Normwise backward error |Kv - w Bv| / ((|K|_1 + |w| |B|_1) |v|) per eigenpair.
 
     The matrix norms keep it meaningful for the kernel pair: there Kv and
     w Bv are both roundoff, so a denominator built from them would be too.
+    `norms` is (|K|_1, |B|_1) if the caller has them; else they come from K, B.
     """
-    norm_k, norm_b = spnorm(K, 1), spnorm(B, 1)
+    norm_k, norm_b = norms if norms is not None else (_norm1(K), _norm1(B))
     out = np.empty(len(values))
     for i, w in enumerate(values):
         v = vectors[:, i]
@@ -313,9 +320,11 @@ def _lanczos(K, B, sigma: float, solve, count: int, basis, tol: float,
     wanted pair's normwise backward error on (K, B), which the Lanczos
     relation gives as |y_m| |(K - sigma B) r| / (theta (|K|_1 +
     |lambda| |B|_1) |x|) for the residual vector r, is at most
-    LANCZOS_BACKWARD.  A run still short after LANCZOS_STEPS steps
-    raises.  `iterations` is the number of steps, one apply of `solve`
-    each, and lambda = sigma + 1/theta.
+    LANCZOS_BACKWARD; |K|_1 and |B|_1 are taken once per run, and x and
+    the backward errors are formed only once every Ritz estimate passes.
+    A run still short after LANCZOS_STEPS steps raises.  `iterations` is
+    the number of steps, one apply of `solve` each, and
+    lambda = sigma + 1/theta.
     """
     n = K.shape[0]
     dtype = np.result_type(K.dtype, B.dtype, np.float64)
@@ -326,7 +335,7 @@ def _lanczos(K, B, sigma: float, solve, count: int, basis, tol: float,
     Q = np.empty((first, n), dtype)
     P = np.empty_like(Q)            # conj(B q) per row, so P w holds the B inner products
     alpha, beta = np.empty(cap), np.empty(cap)
-    norm_k, norm_b = spnorm(K, 1), spnorm(B, 1)
+    norms = norm_k, norm_b = _norm1(K), _norm1(B)
     q = np.random.default_rng(seed).standard_normal(n).astype(dtype)
     bq = B @ q
     scale = math.sqrt(np.vdot(q, bq).real)
@@ -342,13 +351,13 @@ def _lanczos(K, B, sigma: float, solve, count: int, basis, tol: float,
         if m >= first or beta[m - 1] == 0.0:
             theta, Y = eigh_tridiagonal(alpha[:m], beta[:m - 1])
             theta, Y = theta[:-k - 1:-1], Y[:, :-k - 1:-1]
-            values, X = sigma + 1.0 / theta, Y.T @ Q[:m]
-            estimate = beta[m - 1] * np.abs(Y[-1])
-            backward = (np.abs(Y[-1, :count]) * np.linalg.norm(K @ w - sigma * bq)
-                        / (theta[:count] * (norm_k + np.abs(values[:count]) * norm_b)
-                           * np.linalg.norm(X[:count], axis=1)))
-            if np.all(estimate <= tol * theta) and np.all(backward <= LANCZOS_BACKWARD):
-                break
+            if np.all(beta[m - 1] * np.abs(Y[-1]) <= tol * theta):
+                values, X = sigma + 1.0 / theta, Y.T @ Q[:m]
+                backward = (np.abs(Y[-1, :count]) * np.linalg.norm(K @ w - sigma * bq)
+                            / (theta[:count] * (norm_k + np.abs(values[:count]) * norm_b)
+                               * np.linalg.norm(X[:count], axis=1)))
+                if np.all(backward <= LANCZOS_BACKWARD):
+                    break
         if m == cap:
             raise EigensolverError(f"Lanczos did not converge in {cap} steps")
         if m == len(Q):
@@ -357,7 +366,7 @@ def _lanczos(K, B, sigma: float, solve, count: int, basis, tol: float,
         Q[m], bq = w / beta[m - 1], bq / beta[m - 1]
         P[m] = np.conj(bq)
     values, vectors = values[:count], X[:count].T
-    return SpectrumResult(values, vectors, residuals(K, B, values, vectors),
+    return SpectrumResult(values, vectors, residuals(K, B, values, vectors, norms),
                           iterations=m, dof=n, shift=sigma, ncv=m)
 
 
@@ -444,10 +453,10 @@ def _character(phase: tuple):
     return np.exp(2j * np.pi * p / q) if q > 2 else (-1.0) ** p
 
 
-def _seam_blocks(parts, seam: np.ndarray) -> list:
+def _seam_blocks(parts, inner: int) -> list:
     """The phase parts cut into interior and seam blocks, for K and for B.
 
-    `seam` lists the base vertices of the seam S; I is the rest.  Returns
+    The first `inner` base vertices are I, the rest the seam S.  Returns
     one (II, X, SS) per matrix: II is the I x I block, which no phase
     changes; X holds the p = 0 and p = 1 parts of the I x S block side by
     side; SS stacks the three parts of the S x S block, dense.  Raises
@@ -457,18 +466,15 @@ def _seam_blocks(parts, seam: np.ndarray) -> list:
     """
     indptr, indices, *matrices = parts
     V = len(indptr) - 1
-    on_seam = np.zeros(V, dtype=bool)
-    on_seam[seam] = True
-    inner, S = np.flatnonzero(~on_seam), np.flatnonzero(on_seam)
     blocks = []
     for data in matrices:
         p0, p1, p2 = (sparse.csr_matrix((d, indices, indptr), shape=(V, V)) for d in data)
-        if p1[:, inner].count_nonzero() or p2[inner].count_nonzero():
+        if p1[:, :inner].count_nonzero() or p2[:inner].count_nonzero():
             raise EigensolverError("seam Schur complement: a phase-dependent entry "
                                    "lies off the seam's rows and columns")
-        blocks.append((p0[inner][:, inner].tocsc(),
-                       sparse.hstack([m[inner][:, S] for m in (p0, p1)], format="csc"),
-                       np.stack([m[S][:, S].toarray() for m in (p0, p1, p2)])))
+        blocks.append((p0[:inner, :inner].tocsc(),
+                       sparse.hstack([m[:inner, inner:] for m in (p0, p1)], format="csc"),
+                       np.stack([m[inner:, inner:].toarray() for m in (p0, p1, p2)])))
     return blocks
 
 
@@ -511,8 +517,9 @@ class CharacterSolver:
     Each solve is a Hermitian shift-invert Lanczos run (`_lanczos`), with
     LOWEST_BASIS for one eigenvalue and CHARACTER_BASIS for more; a
     phase with 0 < p/q < 1/2 stands for k and d-k, so it lists each
-    eigenvalue twice.  Every run shares one shift sigma_L and one real
-    LDL^T of A_II(sigma_L), made at the first solve: with Z = A_II^{-1}
+    eigenvalue twice.  Every run shares one shift sigma_L, one real
+    LDL^T of A_II(sigma_L) and the transposed seam columns X^T, all
+    formed once per solver at its first solve: with Z = A_II^{-1}
     [X0 X1], phase w's solve is y = A_II^{-1} b_I, x_S = S_L(w)^{-1}
     (b_S - (X0 + w X1)^H y), x_I = y - (Z0 + w Z1) x_S, where S_L(w) is
     the seam Schur complement at sigma_L, positive definite, and factored
@@ -538,7 +545,7 @@ class CharacterSolver:
         rank = np.empty(self.dof, dtype=np.int64)
         rank[np.argsort(on_seam, kind="stable")] = np.arange(self.dof)
         self._parts = _phase_parts(pencil, rank[base_vertex], seam)
-        self._seam = _seam_blocks(self._parts, rank[base_vertex[seam]])
+        self._seam = _seam_blocks(self._parts, self.dof - int(np.count_nonzero(on_seam)))
         self._solves = {}
 
     def spectrum(self, degree: int) -> CharacterSpectrum:
@@ -654,16 +661,18 @@ class CharacterSolver:
 
     @cached_property
     def _shift(self) -> tuple:
-        """The Lanczos shift sigma_L and the interior factorization at it.
+        """The Lanczos shift sigma_L, the interior factorization at it, and X^T.
 
         sigma_L = -1e-2 trace(K(w))/dof is the same for every phase w,
         for the phase parts p = 1, 2 hold no diagonal entry.  A_II(sigma_L)
-        is positive definite, so its LDL^T serves every phase's solve.
+        is positive definite, so its LDL^T serves every phase's solve, and
+        so does the transpose of its seam columns X = [X0 X1].
         """
         indptr, indices, kparts, _ = self._parts
         trace = sparse.csr_matrix((kparts[0], indices, indptr)).diagonal().sum()
         sigma = -1e-2 * trace / self.dof
-        return sigma, self._interior(sigma, keep_z=True)
+        interior = self._interior(sigma, keep_z=True)
+        return sigma, interior, interior[2].T
 
     def _pencil(self, phase: tuple):
         """(K, B) of phase p/q's character w = exp(2 pi i p / q) over the base vertices.
@@ -694,9 +703,9 @@ class CharacterSolver:
         complex vector meets the real factorization, X and Z as its real
         and imaginary parts, two columns of one real product.
         """
-        sigma, (_, lu, X, Z, (fixed, cross, cross_h)) = self._shift
+        sigma, (_, lu, _, Z, (fixed, cross, cross_h)), XT = self._shift
         w = _character(phase)
-        s, inner, XT = fixed.shape[0], Z.shape[0], X.T
+        s, inner = fixed.shape[0], Z.shape[0]
         try:
             chol = cholesky(fixed + w * cross + np.conj(w) * cross_h, lower=True)
         except LinAlgError as e:

@@ -85,6 +85,34 @@ def canonical_csr_lexsort(rows, cols, vals, n) -> sparse.csr_matrix:
     return mat
 
 
+def random_pencil(rng, size, singular=False) -> SparsePencil:
+    """A random sparse-stored pencil: K = G^T G, of rank size - 1 if `singular`,
+    and B = I/2 + E^T E, positive definite."""
+    rows = size - 1 if singular else size
+    G = rng.standard_normal((rows, size))
+    K = G.T @ G
+    E = rng.standard_normal((size, size)) / math.sqrt(size)
+    B = 0.5 * np.eye(size) + E.T @ E
+    return SparsePencil(stiffness=sparse.csr_matrix(K), mass=sparse.csr_matrix(B))
+
+
+def seam_blocks_by_index(parts, seam) -> list:
+    """Reference for `eigen._seam_blocks`: the same blocks cut by fancy
+    indexing with the interior and seam vertex lists, in any numbering."""
+    indptr, indices, *matrices = parts
+    V = len(indptr) - 1
+    on_seam = np.zeros(V, dtype=bool)
+    on_seam[seam] = True
+    inner, S = np.flatnonzero(~on_seam), np.flatnonzero(on_seam)
+    blocks = []
+    for data in matrices:
+        p0, p1, p2 = (sparse.csr_matrix((d, indices, indptr), shape=(V, V)) for d in data)
+        blocks.append((p0[inner][:, inner].tocsc(),
+                       sparse.hstack([m[inner][:, S] for m in (p0, p1)], format="csc"),
+                       np.stack([m[S][:, S].toarray() for m in (p0, p1, p2)])))
+    return blocks
+
+
 def dense_character_values(solver, phase, count=None) -> np.ndarray:
     """The `count` smallest eigenvalues of one character pencil, dense, ascending.
 

@@ -12,9 +12,10 @@ import math
 import numpy as np
 
 from hypspectra.bound import boundary_distances, collar_data, piece_ramps, rayleigh
-from hypspectra.cli import _random_pencil, main
+from hypspectra.cli import main
 from hypspectra.eigen import dense_oracle, solve_smallest
 from hypspectra.fem import assemble
+from oracles import random_pencil
 
 BASE_AREA = 4.0 * math.pi
 CRITERION_N = (1, 2, 4, 8)
@@ -85,7 +86,7 @@ def test_criterion_4_sparse_agrees_with_dense(base_levels, small_cover):
     rng = np.random.default_rng(0)
     for trial in range(20):
         size = int(rng.integers(24, 97))
-        pencil = _random_pencil(rng, size, singular=trial % 2 == 0)
+        pencil = random_pencil(rng, size, singular=trial % 2 == 0)
         sparse = solve_smallest(pencil, count=6, tol=1e-9, seed=0)
         dense = dense_oracle(pencil, count=6)
         gap = np.abs(sparse.values - dense.values)

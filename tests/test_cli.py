@@ -444,6 +444,28 @@ def test_sweep_solves_each_phase_once(family_doc):
     assert [row["eigen"]["characters"] for row in family_doc["rows"]] == [2, 3, 1, 1, 1]
 
 
+def test_sweep_takes_two_norms_per_lanczos_solve(tmp_path, monkeypatch):
+    # |K|_1 and |B|_1 once per phase solve, shared by its backward test
+    # and its residuals.
+    calls = {"norms": 0, "solves": 0}
+    norm1, lanczos = eigen_module._norm1, eigen_module._lanczos
+
+    def counted_norm1(M):
+        calls["norms"] += 1
+        return norm1(M)
+
+    def counted_lanczos(*args):
+        calls["solves"] += 1
+        return lanczos(*args)
+
+    monkeypatch.setattr(eigen_module, "_norm1", counted_norm1)
+    monkeypatch.setattr(eigen_module, "_lanczos", counted_lanczos)
+    assert main(["sweep", "--out", str(tmp_path)] + TINY) == 0
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    assert calls["solves"] == sum(row["eigen"]["characters"] for row in rows) > 0
+    assert calls["norms"] == 2 * calls["solves"]
+
+
 def test_sweep_pairs_deck_forced_double_eigenvalue(tmp_path):
     # Full-cover Lanczos used to return one copy of lambda_1 = lambda_2
     # at N = 24 and N = 64; the character solve returns both, exactly.

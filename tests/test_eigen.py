@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, eye
+from scipy.sparse.linalg import norm as spnorm
 from scipy.sparse.linalg import splu
 
 from hypspectra import eigen
@@ -13,20 +14,12 @@ from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, CharacterSolver, Eigensolver
                               dense_oracle, residuals, solve_smallest)
 from hypspectra.fem import (SparsePencil, assemble, bisection_codes, dissection,
                             prolongation, refine)
-from oracles import colamd_smallest, dense_character_values
+from oracles import (colamd_smallest, dense_character_values, random_pencil,
+                     seam_blocks_by_index)
 
 
 def pencil_from_dense(K, B):
     return SparsePencil(stiffness=csr_matrix(K), mass=csr_matrix(B))
-
-
-def random_pencil(rng, size, singular=False):
-    rows = size - 1 if singular else size
-    G = rng.standard_normal((rows, size))
-    K = G.T @ G
-    E = rng.standard_normal((size, size)) / math.sqrt(size)
-    B = 0.5 * np.eye(size) + E.T @ E
-    return pencil_from_dense(K, B)
 
 
 # -- hand-checkable pencils ----------------------------------------------------
@@ -550,6 +543,46 @@ def test_phase_lanczos_matches_dense(base_levels, level):
         gram = result.vectors.conj().T @ (B @ result.vectors)
         assert np.abs(gram - np.eye(want)).max() <= 1e-10
         assert result.iterations == result.ncv >= 10
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_norm1_equals_scipy_norm_bitwise(base_levels, level):
+    surface, gamma = base_levels[level]
+    cut = cut_along(surface, gamma)
+    matrices = []
+    for mass in ("consistent", "lumped"):
+        pencil = assemble(cut, mass=mass)
+        matrices += [pencil.stiffness, pencil.mass]
+        solver = character_solver(cut, pencil, count=4)
+        for phase in PHASES:
+            matrices += solver._pencil(phase)
+    rng = np.random.default_rng(level)
+    for trial in range(6):
+        pencil = random_pencil(rng, int(rng.integers(24, 97)), singular=trial % 2 == 0)
+        matrices += [pencil.stiffness, pencil.mass]
+    assert any(np.iscomplexobj(M.data) for M in matrices)
+    for M in matrices:
+        assert eigen._norm1(M) == spnorm(M, 1)
+    assert eigen._norm1(csr_matrix((6, 6))) == 0.0
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_seam_blocks_by_slices_match_fancy_indexing(base_levels, level):
+    # The solver numbers the seam last, so its blocks are contiguous
+    # slices; cut by the vertex lists they must have the same bits.
+    surface, gamma = base_levels[level]
+    cut = cut_along(surface, gamma)
+    solver = character_solver(cut, assemble(cut), count=4)
+    s = len(np.unique(cut.base_vertex[cut.right_vertices]))
+    reference = seam_blocks_by_index(solver._parts, np.arange(solver.dof - s, solver.dof))
+    for (II, X, SS), (II_ref, X_ref, SS_ref) in zip(solver._seam, reference, strict=True):
+        for block, ref in ((II, II_ref), (X, X_ref)):
+            assert block.format == ref.format == "csc"
+            assert block.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(block, attr).tobytes() == getattr(ref, attr).tobytes()
+        assert SS.shape == SS_ref.shape == (3, s, s)
+        assert SS.tobytes() == SS_ref.tobytes()
 
 
 def test_phase_past_the_step_cap_fails_by_name(small_cover, monkeypatch):
