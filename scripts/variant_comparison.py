@@ -7,7 +7,7 @@ almost immediately on the far side.  Both are admissible on each mesh
 (disjoint supports), so on each mesh both columns dominate the measured
 eigenvalue.  Only the two-sided certificate settles under refinement: at
 N = 4 and refine 1, 2, 3 it is 0.220, 0.227, 0.231, against 0.419, 0.498,
-0.655 one-sided (ROADMAP item 4), because the one-sided ramp jumps from 1
+0.655 one-sided (ROADMAP item 11), because the one-sided ramp jumps from 1
 to 0 at the far lift.
 """
 

@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .bound import (BoundError, BoundReport, CollarData, bound_report,
-                    boundary_distances, collar_data, collar_width,
-                    minimax_certificate, piece_ramps, ramp_quotient, rayleigh)
+from .bound import (BoundError, BoundReport, bound_report, boundary_distances,
+                    collar_width, minimax_certificate, piece_ramps, ramp_quotient,
+                    ramp_width, rayleigh)
 from .cover import CoverError, CoverSurface, cyclic_cover
 from .eigen import (CharacterSolver, CharacterSpectrum, EigensolverError, SpectrumResult,
                     dense_oracle, residuals, solve_smallest)
@@ -15,14 +15,14 @@ from .surface import (CurveError, FenchelNielsenSpec, MeshCurve, MeshError,
                       cut_along, read_hypmesh, write_hypmesh)
 
 __all__ = [
-    "BoundError", "BoundReport", "CharacterSolver", "CharacterSpectrum", "CollarData",
+    "BoundError", "BoundReport", "CharacterSolver", "CharacterSpectrum",
     "CoverError", "CoverSurface",
     "CurveError", "EigensolverError", "FenchelNielsenSpec", "MeshCurve",
     "MeshError", "SparsePencil", "SpectrumResult", "TriangulatedSurface",
     "__version__", "assemble", "bound_report", "boundary_distances", "build_surface",
-    "collar_data", "collar_width",
+    "collar_width",
     "curve_from_sides", "cut_along", "cyclic_cover", "dense_oracle",
     "element_mass", "element_stiffness",
-    "minimax_certificate", "piece_ramps", "prolongation", "ramp_quotient", "rayleigh",
-    "read_hypmesh", "refine", "residuals", "solve_smallest", "write_hypmesh",
+    "minimax_certificate", "piece_ramps", "prolongation", "ramp_quotient",
+    "ramp_width", "rayleigh", "read_hypmesh", "refine", "residuals", "solve_smallest", "write_hypmesh",
 ]

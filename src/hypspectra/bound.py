@@ -1,4 +1,4 @@
-"""Collar data, ramp test functions, and the spectral upper bound.
+"""Collar and ramp widths, ramp test functions, and the spectral upper bound.
 
 Everything here certifies inequalities about the assembled pencil, so
 conservative choices are made throughout: vertex distances are shortest
@@ -27,7 +27,7 @@ deck translate of the first, so the n+1 ramps share one quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -37,17 +37,16 @@ from .surface import CutSurface, TriangulatedSurface
 __all__ = [
     "BoundError",
     "BoundReport",
-    "CollarData",
     "RAMP_CAP",
     "SOLVER_SLACK",
     "boundary_distances",
     "bound_report",
-    "collar_data",
     "collar_width",
     "distance_to_curves",
     "minimax_certificate",
     "piece_ramps",
     "ramp_quotient",
+    "ramp_width",
     "rayleigh",
 ]
 
@@ -96,34 +95,32 @@ def boundary_distances(cut: CutSurface) -> np.ndarray:
                      for circle in (cut.left_vertices, cut.right_vertices)])
 
 
-@dataclass(frozen=True)
-class CollarData:
-    """Certified collar half-width eta and the ramp width t actually used.
+def ramp_width(l: float) -> float:
+    """The ramp width t = min(eta/2, RAMP_CAP) for lifts of length l.
 
-    eta is the collar-lemma width collar_width(l) of the lifts; t is
-    eta/2 capped at RAMP_CAP, shrunk further (and flagged) when some
-    piece is too thin for the ramp to reach 1.
+    eta = collar_width(l).  Collars of half-width eta around the lifts
+    are disjoint, so every piece reaches at least eta >= 2t from its
+    boundary and its ramp has room to reach 1: nothing is measured per
+    row.  The minimax bound would hold for a ramp that never reached 1
+    as well; a ramp that vanished fails by name in `rayleigh`.
     """
-
-    eta: float
-    t: float
-    t_requested: float
-    t_shrunk: bool
-
-    def __post_init__(self):
-        if not (0 < self.t <= self.eta and self.t <= RAMP_CAP):
-            raise BoundError(f"ramp width t={self.t!r} outside (0, min(eta, {RAMP_CAP})]")
+    return min(collar_width(l) / 2.0, RAMP_CAP)
 
 
-def _copy_distances(cut: CutSurface, dist: np.ndarray, N: int, variant: str):
-    """A piece's ramp distances copy by copy: (vectors, copies) in copy order.
+def piece_ramps(cut: CutSurface, dist: np.ndarray, N: int, variant: str = "two-sided"):
+    """The ramp of a piece of N copies, taken copy by copy: (vectors, copies).
 
-    Two-sided: the distance to the piece boundary, so the left circle's
-    distance on the first copy, the right circle's on the last, and
-    infinity on copies in between, which no lift comes within the ramp
-    width of.  One-sided: the distance to the piece's own lift, the last
-    copy's right circle, with 0 on the far lift, the first copy's left
-    circle.  `dist` is `boundary_distances(cut)`.
+    vectors[j] holds the ramp's values on the cut vertices of copies[j]
+    consecutive copies, in copy order: a distance over the ramp width
+    `ramp_width(l)`, clipped to [0, 1].  `dist` is
+    `boundary_distances(cut)`.  Two-sided (default): the distance to the
+    piece boundary, so the left circle's distance on the first copy, the
+    right circle's on the last, and infinity on copies in between, which
+    no lift comes within the ramp width of; the ramp is 0 on both
+    bounding lifts and 1 on the deep interior.  One-sided: the distance
+    to the piece's own lift, the last copy's right circle, with 0 on the
+    far lift, the first copy's left circle; the ramp rises from its own
+    lift only, and is forced to 0 on the far lift next to its plateau.
     """
     left, right = dist
     far = np.full_like(left, np.inf)
@@ -136,40 +133,9 @@ def _copy_distances(cut: CutSurface, dist: np.ndarray, N: int, variant: str):
     else:
         raise BoundError(f"unknown test-function variant {variant!r}")
     runs = [(d, k) for d, k in runs if k]
-    return np.stack([d for d, _ in runs]), np.array([k for _, k in runs])
-
-
-def collar_data(cut: CutSurface, dist: np.ndarray, N: int) -> CollarData:
-    """Collar data for the lifts bounding a piece of N copies of `cut`.
-
-    `dist` is `boundary_distances(cut)`; it sets how deep the piece
-    reaches, which can shrink the ramp width below eta/2.
-    """
-    eta = collar_width(cut.curve_length)
-    t_requested = min(eta / 2.0, RAMP_CAP)
-    # The piece needs a vertex the ramp cannot reach, else its ramp
-    # stays below 1 everywhere.
-    depth = float(_copy_distances(cut, dist, N, "two-sided")[0].max())
-    if depth >= t_requested:
-        return CollarData(eta=eta, t=t_requested, t_requested=t_requested, t_shrunk=False)
-    if depth <= 0:
-        raise BoundError("a piece has no interior vertex; mesh too coarse for ramps")
-    return CollarData(eta=eta, t=0.5 * depth, t_requested=t_requested, t_shrunk=True)
-
-
-def piece_ramps(cut: CutSurface, collar: CollarData, dist: np.ndarray, N: int,
-                variant: str = "two-sided"):
-    """The ramp of a piece of N copies, taken copy by copy: (vectors, copies).
-
-    vectors[j] holds the ramp's values on the cut vertices of copies[j]
-    consecutive copies, in copy order.  Two-sided (default): the ramp
-    rises over width t from the piece boundary, so it is 0 on both
-    bounding lifts and 1 on the deep interior.  One-sided: it rises from
-    the piece's own lift only, and is forced to 0 on the far lift next
-    to its plateau.  `dist` is `boundary_distances(cut)`.
-    """
-    distances, copies = _copy_distances(cut, dist, N, variant)
-    return np.clip(distances / collar.t, 0.0, 1.0), copies
+    distances = np.stack([d for d, _ in runs])
+    return (np.clip(distances / ramp_width(cut.curve_length), 0.0, 1.0),
+            np.array([k for _, k in runs]))
 
 
 def _check_supports(cut: CutSurface, vectors: np.ndarray, copies: np.ndarray) -> None:
@@ -196,16 +162,15 @@ def _check_supports(cut: CutSurface, vectors: np.ndarray, copies: np.ndarray) ->
 
 
 def ramp_quotient(cut: CutSurface, pencil, dist: np.ndarray, N: int,
-                  variant: str = "two-sided") -> tuple[CollarData, float]:
-    """(collar data, Rayleigh quotient) of each piece's ramp, N copies per piece.
+                  variant: str = "two-sided") -> float:
+    """The Rayleigh quotient of each piece's ramp, N copies per piece.
 
     `pencil` is assembled on `cut`, and `dist` is `boundary_distances(cut)`,
     which serves every N.  The ramp's support check runs before the quotient.
     """
-    collar = collar_data(cut, dist, N)
-    vectors, copies = piece_ramps(cut, collar, dist, N, variant)
+    vectors, copies = piece_ramps(cut, dist, N, variant)
     _check_supports(cut, vectors, copies)
-    return collar, rayleigh(pencil, vectors, copies)
+    return rayleigh(pencil, vectors, copies)
 
 
 def rayleigh(pencil, f, copies=None) -> float:
@@ -279,17 +244,6 @@ class BoundReport:
     testfn_variant: str
     bound_holds: bool
     certificate_holds: bool
-    collar: CollarData = field(repr=False)
-
-    def as_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "collar"}
-        d["collar"] = {
-            "eta": self.collar.eta,
-            "t": self.collar.t,
-            "t_requested": self.collar.t_requested,
-            "t_shrunk": self.collar.t_shrunk,
-        }
-        return d
 
 
 def bound_report(cut: CutSurface, pencil, spectrum, n: int, N: int,
@@ -307,11 +261,11 @@ def bound_report(cut: CutSurface, pencil, spectrum, n: int, N: int,
     """
     if len(spectrum.values) < n + 1:
         raise BoundError(f"need at least {n + 1} eigenvalues, got {len(spectrum.values)}")
-    collar, quotient = ramp_quotient(cut, pencil, dist, N, variant)
+    quotient = ramp_quotient(cut, pencil, dist, N, variant)
 
     l = cut.curve_length
     h = (n + 1) * l / (N * base_area)
-    eta, t = collar.eta, collar.t
+    eta, t = collar_width(l), ramp_width(l)
     bound = 2.0 / eta * (h + h * h)
 
     lam = float(spectrum.values[n])
@@ -334,5 +288,4 @@ def bound_report(cut: CutSurface, pencil, spectrum, n: int, N: int,
         testfn_variant=variant,
         bound_holds=bool(lam <= bound + slack),
         certificate_holds=bool(lam <= quotient + slack),
-        collar=collar,
     )

@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,8 +37,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import __version__
-from .bound import (RAMP_CAP, BoundError, CollarData, bound_report, boundary_distances,
-                    collar_width, distance_to_curves, minimax_certificate, ramp_quotient)
+from .bound import (BoundError, bound_report, boundary_distances, collar_width,
+                    distance_to_curves, minimax_certificate, ramp_quotient, ramp_width)
 from .cover import cyclic_cover
 from .eigen import CharacterSolver, EigensolverError, dense_oracle, solve_smallest
 from .fem import (SparsePencil, assemble, bisection_codes, dissection, prolongation,
@@ -277,7 +277,7 @@ def _sweep_rows(config: RunConfig):
                    certificate_holds=report.certificate_holds,
                    genus=1 + d * (base.genus - 1), witness_length=witness,
                    ratio=report.lambda_n / witness,
-                   report=report.as_dict())
+                   report=asdict(report))
         rows.append(row)
     return base, rows
 
@@ -444,28 +444,21 @@ def _lift_distances(cover) -> np.ndarray:
     return np.stack([distance_to_curves(cover.surface, [lift]) for lift in cover.lifts])
 
 
-def _cover_ramps(cover, lift_dist: np.ndarray, variant: str):
-    """(collar data, one ramp per piece) built on the cover itself.
+def _cover_ramps(cover, lift_dist: np.ndarray, variant: str) -> np.ndarray:
+    """One ramp per piece, built on the cover itself at the sweep's ramp width.
 
     The reference for the sweep's base-level ramps: `lift_dist` is
     `_lift_distances(cover)`, a vertex belongs to the piece of its faces
-    and lift vertices to none, and the ramp width shrinks when a piece
-    is too thin for the ramp to reach 1.  Distinct ramps share no
-    triangle, which `minimax_certificate` checks.
+    and lift vertices to none.  Distinct ramps share no triangle, which
+    `minimax_certificate` checks.
     """
     piece = np.zeros(cover.surface.num_vertices, dtype=np.int64)
     piece[cover.surface.faces] = cover.piece[:, None]
     piece[[v for lift in cover.lifts for v in lift.vertices]] = 0
-    nearest = lift_dist.min(axis=0)
-    eta = collar_width(cover.lifts[0].length)
-    t_requested = min(eta / 2.0, RAMP_CAP)
-    depth = min(nearest[piece == i].max() for i in range(1, cover.n + 2))
-    shrunk = bool(depth < t_requested)
-    t = 0.5 * depth if shrunk else t_requested
-    ramp = np.clip((nearest if variant == "two-sided" else lift_dist) / t, 0.0, 1.0)
+    distances = lift_dist.min(axis=0) if variant == "two-sided" else lift_dist
+    ramp = np.clip(distances / ramp_width(cover.lifts[0].length), 0.0, 1.0)
     own = piece == np.arange(1, cover.n + 2)[:, None]
-    collar = CollarData(eta=eta, t=t, t_requested=t_requested, t_shrunk=shrunk)
-    return collar, np.where(own, ramp, 0.0)
+    return np.where(own, ramp, 0.0)
 
 
 def _random_pencil(rng, size: int, singular: bool):
@@ -548,18 +541,16 @@ def cmd_oracle_check(config: RunConfig) -> int:
     base, gamma = _base_pipeline(config)
     cut = cut_along(base, gamma)
     cut_pencil, dist = assemble(cut, mass=config.mass), boundary_distances(cut)
-    worst, same_collar = 0.0, True
+    worst = 0.0
     for N in range(1, 5):
         cover = cyclic_cover(base, gamma, n=config.n, N=N)
-        collar, fs = _cover_ramps(cover, _lift_distances(cover), config.testfn)
+        fs = _cover_ramps(cover, _lift_distances(cover), config.testfn)
         reference, _ = minimax_certificate(assemble(cover.surface, mass=config.mass),
                                            fs, cover.surface.faces)
-        base_collar, quotient = ramp_quotient(cut, cut_pencil, dist, N, config.testfn)
-        same_collar &= base_collar == collar
+        quotient = ramp_quotient(cut, cut_pencil, dist, N, config.testfn)
         worst = max(worst, abs(quotient - reference) / reference)
-    check("base_vs_cover_certificate", same_collar and worst <= 1e-12,
-          f"N = 1..4, {config.testfn} ramps: worst relative gap {worst:.3e} (tol 1e-12), "
-          f"collar data {'equal' if same_collar else 'differ'}")
+    check("base_vs_cover_certificate", worst <= 1e-12,
+          f"N = 1..4, {config.testfn} ramps: worst relative gap {worst:.3e} (tol 1e-12)")
 
     full = assemble(cover0.surface, mass=config.mass)
     _, solver = _character_solver(cover0.cut, config)

@@ -296,7 +296,7 @@ def solve_smallest(pencil, count: int, tol: float = 1e-9, seed: int = 0,
 
 
 def _lanczos(K, B, sigma: float, solve, count: int, basis, tol: float,
-             seed: int) -> SpectrumResult:
+             start: np.ndarray) -> SpectrumResult:
     """The `count` smallest eigenpairs of (K, B) by Hermitian shift-invert Lanczos.
 
     `solve(b)` applies (K - sigma B)^{-1}, which must be positive
@@ -308,8 +308,8 @@ def _lanczos(K, B, sigma: float, solve, count: int, basis, tol: float,
     B-orthonormal to roundoff and the Ritz pairs of the tridiagonal
     projection need no restart.  The basis and its image under B are
     stored one vector per row, for the reorthogonalisation reads them
-    whole at every step.  The starting vector is a standard normal
-    vector of the seed.
+    whole at every step.  The run starts from `start`, which it does not
+    modify.
 
     `basis` is (extra, per_pair, least): the first convergence test
     comes after max(per_pair * k + 1, least) steps, and each test looks
@@ -336,7 +336,7 @@ def _lanczos(K, B, sigma: float, solve, count: int, basis, tol: float,
     P = np.empty_like(Q)            # conj(B q) per row, so P w holds the B inner products
     alpha, beta = np.empty(cap), np.empty(cap)
     norms = norm_k, norm_b = _norm1(K), _norm1(B)
-    q = np.random.default_rng(seed).standard_normal(n).astype(dtype)
+    q = start.astype(dtype)
     bq = B @ q
     scale = math.sqrt(np.vdot(q, bq).real)
     Q[0], bq = q / scale, bq / scale
@@ -514,7 +514,8 @@ class CharacterSolver:
     the first time any degree asks it for a given number of eigenvalues,
     and each such solve keeps only its eigenvalues and residuals, so a
     degree's spectrum has the same bits whichever degrees came before.
-    Each solve is a Hermitian shift-invert Lanczos run (`_lanczos`), with
+    Each solve is a Hermitian shift-invert Lanczos run (`_lanczos`) from
+    one standard normal vector of `seed`, drawn once per solver, with
     LOWEST_BASIS for one eigenvalue and CHARACTER_BASIS for more; a
     phase with 0 < p/q < 1/2 stands for k and d-k, so it lists each
     eigenvalue twice.  Every run shares one shift sigma_L, one real
@@ -536,7 +537,8 @@ class CharacterSolver:
         base_vertex = np.asarray(base_vertex, dtype=np.int64)
         seam = np.asarray(seam, dtype=np.int64)
         self.dof = int(base_vertex.max()) + 1
-        self.count, self.tol, self.seed = count, tol, seed
+        self.count, self.tol = count, tol
+        self._start = np.random.default_rng(seed).standard_normal(self.dof)
         # Number the base vertices off the seam first and those on it
         # last, each in base order, so every phase pencil is blocked as
         # [I; S] and a solve needs no permutation.
@@ -691,7 +693,7 @@ class CharacterSolver:
         K, B = self._pencil(phase)
         basis = LOWEST_BASIS if want == 1 else CHARACTER_BASIS
         return _lanczos(K, B, self._shift[0], self._inverse(phase), want, basis,
-                        self.tol, self.seed)
+                        self.tol, self._start)
 
     def _inverse(self, phase: tuple):
         """b -> (K(w) - sigma_L B(w))^{-1} b for phase p/q, from the shared factorization.

@@ -60,6 +60,9 @@ H_BOUND = {
 # Cuffs far from the default: very short and very long cuffs give long and
 # short seams, and slivers in the centroid fans.
 FAR_CUFFS = [(0.1, 0.1, 0.1), (0.002, 2.0, 2.0), (15.0, 15.0, 15.0), (30.0, 30.0, 30.0)]
+# Cuff sets the refine-0 sweep tests run on: the default, the far ones, a
+# short gamma among default cuffs, and long cuffs with a narrow collar.
+SWEEP_CUFFS = [(2.0, 2.0, 2.0), *FAR_CUFFS, (0.05, 2.0, 2.0), (6.0, 6.0, 6.0)]
 
 REL = 1e-13  # a few ulp of float64 headroom
 

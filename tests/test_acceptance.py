@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from hypspectra.bound import boundary_distances, collar_data, piece_ramps, rayleigh
+from hypspectra.bound import boundary_distances, piece_ramps, rayleigh
 from hypspectra.cli import main
 from hypspectra.eigen import dense_oracle, solve_smallest
 from hypspectra.fem import assemble
@@ -69,7 +69,7 @@ def test_criterion_3_certificate_with_exact_disjointness(sweep_rows, on_cover):
         # The report's ramps, laid out on the assembled cover.
         cut = cover.cut
         dist = boundary_distances(cut)
-        fs = on_cover(cover, *piece_ramps(cut, collar_data(cut, dist, N), dist, N))
+        fs = on_cover(cover, *piece_ramps(cut, dist, N))
         GK, GB = fs @ (pencil.stiffness @ fs.T), fs @ (pencil.mass @ fs.T)
         off = ~np.eye(len(fs), dtype=bool)
         assert (GK[off] == 0.0).all() and (GB[off] == 0.0).all()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,16 +10,15 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import hypspectra.bound as bound_module
-from hypspectra.bound import (RAMP_CAP, BoundError, CollarData, bound_report,
-                              boundary_distances, collar_data, collar_width,
-                              distance_to_curves, minimax_certificate, piece_ramps,
-                              ramp_quotient, rayleigh)
+from hypspectra.bound import (RAMP_CAP, BoundError, bound_report, boundary_distances,
+                              collar_width, distance_to_curves, minimax_certificate,
+                              piece_ramps, ramp_quotient, ramp_width, rayleigh)
 from hypspectra.cli import _cover_ramps, _lift_distances
 from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import solve_smallest
 from hypspectra.fem import SparsePencil, assemble
 from hypspectra.surface import FenchelNielsenSpec, build_surface, cut_along
-from oracles import FROZEN, H_BOUND, close
+from oracles import FROZEN, H_BOUND, SWEEP_CUFFS, close
 
 
 def all_pairs_distances(surface):
@@ -74,7 +74,7 @@ def test_distance_rejects_no_sources(base_r0):
 def test_vertex_pieces_partition(small_cover):
     # The cover-level reference ramps: two-sided ramps are positive off
     # the lifts, so their supports partition the vertices off the lifts.
-    _, fs = _cover_ramps(small_cover, _lift_distances(small_cover), "two-sided")
+    fs = _cover_ramps(small_cover, _lift_distances(small_cover), "two-sided")
     lift_verts = sorted({v for c in small_cover.lifts for v in c.vertices})
     assert (fs[:, lift_verts] == 0).all()
     interior = np.setdiff1d(np.arange(small_cover.surface.num_vertices), lift_verts)
@@ -83,35 +83,47 @@ def test_vertex_pieces_partition(small_cover):
     assert owners.any(axis=1).all()
 
 
-# -- collar data -----------------------------------------------------------------
+# -- collar and ramp widths --------------------------------------------------------
 
-def test_collar_data_measures_clearances(small_cover):
-    # eta is the collar-lemma width; the collar theorem makes the lifts at
-    # least 2 * eta apart, which the edge-path clearance must confirm.
+def test_lifts_clear_twice_the_collar_width():
+    # The collar theorem makes the lifts at least 2 * eta apart, which the
+    # edge-path clearance must confirm.
     for cuffs in [(2.0, 2.0, 2.0), (0.5, 2.0, 2.0), (4.0, 1.0, 1.0)]:
         surface, gamma = build_surface(FenchelNielsenSpec(cuff_lengths=cuffs))
-        cut = cut_along(surface, gamma)
+        eta = collar_width(gamma.length)
         for N in (1, 2):
             cover = cyclic_cover(surface, gamma, n=2, N=N)
-            collar = collar_data(cut, boundary_distances(cut), N)
-            assert collar.eta == collar_width(gamma.length)
-            assert collar.t_requested == min(collar.eta / 2.0, RAMP_CAP)
             D = all_pairs_distances(cover.surface)
             verts = [sorted(c.vertices) for c in cover.lifts]
             for i in range(len(verts)):
                 for j in range(i):
-                    assert D[np.ix_(verts[i], verts[j])].min() >= 2.0 * collar.eta
-
-    collar = collar_data(small_cover.cut, boundary_distances(small_cover.cut), 1)
-    assert collar.t == collar.t_requested
-    assert not collar.t_shrunk
+                    assert D[np.ix_(verts[i], verts[j])].min() >= 2.0 * eta
 
 
-def test_collar_data_rejects_inconsistent_width():
-    with pytest.raises(BoundError):
-        CollarData(eta=0.3, t=0.35, t_requested=0.35, t_shrunk=False)
-    with pytest.raises(BoundError):
-        CollarData(eta=0.3, t=0.0, t_requested=0.15, t_shrunk=True)
+@pytest.mark.parametrize("cuffs", SWEEP_CUFFS)
+def test_ramps_at_the_lemma_width_reach_one(cuffs):
+    # The width comes from the collar lemma alone, with no per-row depth:
+    # the collar theorem leaves every piece deep enough for the ramp to
+    # reach 1, on every copy that rises or falls, and the ramp passes
+    # the support check.
+    surface, gamma = build_surface(FenchelNielsenSpec(cuff_lengths=cuffs))
+    cut = cut_along(surface, gamma)
+    left, right = dist = boundary_distances(cut)
+    pencil = assemble(cut)
+    eta, t = collar_width(cut.curve_length), ramp_width(cut.curve_length)
+    assert 0.0 < t == min(eta / 2.0, RAMP_CAP)
+    assert np.minimum(left, right).max() >= eta >= 2.0 * t
+    for N in (1, 2, 3):
+        for variant in ("two-sided", "one-sided"):
+            vectors, copies = piece_ramps(cut, dist, N, variant)
+            ends = [np.minimum(left, right)] if N == 1 else [left, right]
+            if variant == "one-sided":
+                ends[0] = (right if N == 1 else np.full_like(right, np.inf)).copy()
+                ends[0][cut.left_vertices] = 0.0
+            assert np.array_equal(vectors[0], np.clip(ends[0] / t, 0.0, 1.0))
+            assert np.array_equal(vectors[-1], np.clip(ends[-1] / t, 0.0, 1.0))
+            assert (vectors.max(axis=1) == 1.0).all()
+            assert ramp_quotient(cut, pencil, dist, N, variant) > 0.0
 
 
 # -- test functions ----------------------------------------------------------------
@@ -121,8 +133,7 @@ def test_ramp_functions_properties(small_cover, variant):
     cut = small_cover.cut
     dist = boundary_distances(cut)
     for N in (1, 2, 3, 1024):
-        collar = collar_data(cut, dist, N)
-        vectors, copies = piece_ramps(cut, collar, dist, N, variant=variant)
+        vectors, copies = piece_ramps(cut, dist, N, variant=variant)
         assert vectors.shape == (len(copies), cut.num_vertices)
         assert copies.sum() == N and (copies > 0).all()
         assert len(copies) == min(N, 3)
@@ -137,7 +148,7 @@ def test_ramp_variant_rejected(small_cover):
     cut = small_cover.cut
     dist = boundary_distances(cut)
     with pytest.raises(BoundError):
-        piece_ramps(cut, collar_data(cut, dist, 1), dist, 1, variant="sideways")
+        piece_ramps(cut, dist, 1, variant="sideways")
 
 
 @pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
@@ -146,8 +157,7 @@ def test_cross_terms_vanish_exactly(base_r0, small_cover, on_cover, variant):
     for cover in (small_cover, cyclic_cover(surface, gamma, n=2, N=3)):
         cut = cover.cut
         dist = boundary_distances(cut)
-        collar = collar_data(cut, dist, cover.N)
-        fs = on_cover(cover, *piece_ramps(cut, collar, dist, cover.N, variant=variant))
+        fs = on_cover(cover, *piece_ramps(cut, dist, cover.N, variant=variant))
         pencil = assemble(cover.surface)
         GK, GB = fs @ (pencil.stiffness @ fs.T), fs @ (pencil.mass @ fs.T)
         off = ~np.eye(3, dtype=bool)
@@ -166,16 +176,15 @@ def test_base_level_ramps_match_the_cover(base_levels, level, N):
     lift_dist = _lift_distances(cover)
     cut_pencil, full = assemble(cut), assemble(cover.surface)
     for variant in ("two-sided", "one-sided"):
-        collar, fs = _cover_ramps(cover, lift_dist, variant)
-        base_collar, quotient = ramp_quotient(cut, cut_pencil, dist, N, variant)
-        assert base_collar == collar          # eta, t, t_requested, t_shrunk
+        fs = _cover_ramps(cover, lift_dist, variant)
+        quotient = ramp_quotient(cut, cut_pencil, dist, N, variant)
         for f in fs:
             reference = rayleigh(full, f)
             assert abs(quotient - reference) <= 1e-12 * reference
     # Lift i is the right circle of copy iN-1 and the left circle of copy
     # iN: within t of it the cut distances are the cover's, bitwise, and
     # every other copy lies farther than t from it.
-    t = collar.t
+    t = ramp_width(gamma.length)
     for i, row in enumerate(lift_dist, start=1):
         after, before = (i * N) % d, i * N - 1
         for k, mine in ((after, dist[0]), (before, dist[1])):
@@ -191,7 +200,7 @@ def test_base_level_ramps_match_the_cover(base_levels, level, N):
 def test_rayleigh_weights_copies(small_cover):
     cut = small_cover.cut
     dist = boundary_distances(cut)
-    vectors, copies = piece_ramps(cut, collar_data(cut, dist, 7), dist, 7)
+    vectors, copies = piece_ramps(cut, dist, 7)
     pencil = assemble(cut)
     mine = rayleigh(pencil, vectors, copies)
     stacked = rayleigh(pencil, np.repeat(vectors, copies, axis=0))
@@ -222,7 +231,7 @@ def test_support_check_names_the_failure(small_cover, monkeypatch, N, copy, circ
 # -- quotients and the certificate ---------------------------------------------
 
 def test_certificate_is_max_quotient(small_cover):
-    _, fs = _cover_ramps(small_cover, _lift_distances(small_cover), "two-sided")
+    fs = _cover_ramps(small_cover, _lift_distances(small_cover), "two-sided")
     pencil = assemble(small_cover.surface)
     cert, quotients = minimax_certificate(pencil, fs, small_cover.surface.faces)
     assert quotients == [rayleigh(pencil, f) for f in fs]
@@ -310,17 +319,15 @@ def test_report_needs_enough_eigenvalues(base_r0, small_cover):
 
 def test_report_round_trips_through_json(sweep_rows):
     report = sweep_rows[4]["report"]
-    d = report.as_dict()
-    restored = json.loads(json.dumps(d, sort_keys=True))
+    restored = json.loads(json.dumps(asdict(report), sort_keys=True))
+    assert restored == asdict(report)
     assert restored["N"] == 4
     assert restored["bound_holds"] is True
     assert restored["certificate_holds"] is True
-    assert restored["collar"]["t_shrunk"] is False
-    assert not {"bound_conservative", "bound_holds_conservative", "chain_checks",
+    assert restored["eta"] == collar_width(report.curve_length)
+    assert restored["t"] == ramp_width(report.curve_length)
+    assert not {"collar", "bound_conservative", "bound_holds_conservative", "chain_checks",
                 "chain_assumptions_hold", "half_collar"} & set(restored)
-    assert set(restored["collar"]) == {"eta", "t", "t_requested", "t_shrunk"}
-    assert "lemma_width" not in restored["collar"]
-    assert "lift_clearances" not in restored["collar"]
 
 
 # -- distance fields ----------------------------------------------------------------

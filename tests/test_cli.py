@@ -21,7 +21,7 @@ from hypspectra.cli import (CSV_DOC, MASS_CHOICES, TESTFN_CHOICES, ConfigError, 
 from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import CharacterSolver, EigensolverError
 from hypspectra.surface import read_hypmesh
-from oracles import FAR_CUFFS
+from oracles import FAR_CUFFS, SWEEP_CUFFS
 
 TINY = ["--refine", "0", "--n", "1", "--N", "1,2"]
 ENVELOPE = ["timestamp", "version", "config_hash", "config"]
@@ -333,7 +333,7 @@ def test_sweep_failed_row_names_the_bound_stage(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise BoundError("injected failure")
 
-    monkeypatch.setattr(bound_module, "collar_data", explode)
+    monkeypatch.setattr(bound_module, "piece_ramps", explode)
     out = tmp_path / "run"
     assert main(["sweep", "--out", str(out)] + TINY) == 1
     doc = json.loads((out / "sweep.json").read_text())
@@ -494,14 +494,19 @@ def test_sweep_witness_columns(sweep_dir, base_r0):
     assert doc["rows"][1]["ratio"] < doc["rows"][0]["ratio"]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=24, deadline=None)
 @given(n=st.integers(1, 7), Ns=st.sets(st.integers(1, 64), min_size=1, max_size=4),
-       mass=st.sampled_from(MASS_CHOICES), testfn=st.sampled_from(TESTFN_CHOICES))
-def test_sweep_rows_certified_or_named(n, Ns, mass, testfn):
+       mass=st.sampled_from(MASS_CHOICES), testfn=st.sampled_from(TESTFN_CHOICES),
+       cuffs=st.sampled_from(SWEEP_CUFFS))
+def test_sweep_rows_certified_or_named(n, Ns, mass, testfn, cuffs):
     with tempfile.TemporaryDirectory() as out:
-        code = main(["sweep", "--out", out, "--refine", "0", "--n", str(n),
-                     "--N", ",".join(map(str, Ns)), "--mass", mass, "--testfn", testfn])
+        config = Path(out) / "run.cfg"
+        config.write_text(f"cuffs = {', '.join(map(repr, cuffs))}\n")
+        code = main(["sweep", "--config", str(config), "--out", out, "--refine", "0",
+                     "--n", str(n), "--N", ",".join(map(str, Ns)), "--mass", mass,
+                     "--testfn", testfn])
         doc = json.loads((Path(out) / "sweep.json").read_text())
+    assert doc["config"]["cuffs"] == list(cuffs)
     assert code == (0 if all(doc["asserted"].values()) else 1)
     certified = []
     for row in doc["rows"]:
@@ -510,7 +515,9 @@ def test_sweep_rows_certified_or_named(n, Ns, mass, testfn):
             continue
         assert row["certificate_holds"]
         assert row["genus"] == 1 + row["d"]
-        assert row["witness_length"] == (n + 1) * 2.0
+        length = row["report"]["curve_length"]
+        assert abs(length - cuffs[0]) <= 1e-12 * cuffs[0]
+        assert row["witness_length"] == (n + 1) * length
         assert row["ratio"] == row["lambda"][n] / row["witness_length"]
         certified.append(row["lambda"][n])
     assert doc["asserted"]["lambda_n_strictly_decreasing"] == all(

@@ -545,6 +545,24 @@ def test_phase_lanczos_matches_dense(base_levels, level):
         assert result.iterations == result.ncv >= 10
 
 
+def test_phase_solves_share_one_start_vector(base_r0, monkeypatch):
+    # The solver draws its seed's vector once; every phase's Lanczos run
+    # starts from it, complex phases too, and leaves it as it was.
+    cut = cut_along(*base_r0)
+    real, starts = eigen._lanczos, []
+
+    def recording(*args):
+        starts.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(eigen, "_lanczos", recording)
+    solver = character_solver(cut, assemble(cut), count=4)
+    solver.spectrum(12)
+    expected = np.random.default_rng(0).standard_normal(solver.dof)
+    assert len(starts) >= 3 and all(start is starts[0] for start in starts)
+    assert np.array_equal(starts[0], expected)
+
+
 @pytest.mark.parametrize("level", [0, 1])
 def test_norm1_equals_scipy_norm_bitwise(base_levels, level):
     surface, gamma = base_levels[level]
