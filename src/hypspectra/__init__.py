@@ -8,8 +8,7 @@ from .bound import (BoundError, BoundReport, bound_report, boundary_distances,
 from .cover import CoverError, CoverSurface, cyclic_cover
 from .eigen import (CharacterSolver, CharacterSpectrum, EigensolverError, SpectrumResult,
                     dense_oracle, residuals, solve_smallest)
-from .fem import (SparsePencil, assemble, element_mass, element_stiffness, prolongation,
-                  refine)
+from .fem import SparsePencil, assemble, prolongation, refine, side_weights
 from .surface import (CurveError, FenchelNielsenSpec, MeshCurve, MeshError,
                       TriangulatedSurface, build_surface, curve_from_sides,
                       cut_along, read_hypmesh, write_hypmesh)
@@ -22,7 +21,7 @@ __all__ = [
     "__version__", "assemble", "bound_report", "boundary_distances", "build_surface",
     "collar_width",
     "curve_from_sides", "cut_along", "cyclic_cover", "dense_oracle",
-    "element_mass", "element_stiffness",
     "minimax_certificate", "piece_ramps", "prolongation", "ramp_quotient",
-    "ramp_width", "rayleigh", "read_hypmesh", "refine", "residuals", "solve_smallest", "write_hypmesh",
+    "ramp_width", "rayleigh", "read_hypmesh", "refine", "residuals", "side_weights",
+    "solve_smallest", "write_hypmesh",
 ]

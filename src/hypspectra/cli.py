@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 
 from . import __version__
 from .bound import (BoundError, bound_report, boundary_distances, collar_width,
@@ -362,6 +362,17 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0 if all(asserted.values()) else 1
 
 
+def _edge_weight_signs(K) -> tuple:
+    """(vertex pairs, pairs with a negative summed side weight) of a stiffness K.
+
+    K's entry off the diagonal is minus the pair's summed weight, so a
+    negative weight is a positive entry; each pair is counted once,
+    above the diagonal.
+    """
+    upper = triu(K, k=1)
+    return upper.nnz, int(np.count_nonzero(upper.data > 0))
+
+
 def cmd_converge(config: RunConfig) -> int:
     if config.refine < 2:
         raise ConfigError("converge needs refine >= 2 (three mesh levels or more)")
@@ -384,13 +395,17 @@ def cmd_converge(config: RunConfig) -> int:
             start = prolongation(surface) @ spectrum.vectors
             surface, _ = refine(surface)
         pencil = assemble(surface, mass=config.mass)
+        area, order = float(surface.total_area()), dissection(surface, codes)
+        if level == config.refine:
+            del surface     # the finest mesh is not held across its factorization
         spectrum = solve_smallest(pencil, count=count, tol=config.tol, seed=config.seed,
-                                  start=start, order=dissection(surface, codes))
-        area = float(surface.total_area())
+                                  start=start, order=order)
         scale = pencil.stiffness.diagonal().sum() / pencil.dof
         areas_ok &= bool(abs(area - area_target) <= 1e-8)
         kernel_ok &= bool(abs(spectrum.values[0]) <= 1e-8 * scale)
+        pairs, negative = _edge_weight_signs(pencil.stiffness)
         rows.append({"level": level, "dof": pencil.dof, "area": area,
+                     "vertex_pairs": pairs, "negative_edge_weights": negative,
                      "lambda": [float(v) for v in spectrum.values],
                      "eigen": {"operator_applies": spectrum.iterations,
                                "max_residual": float(spectrum.residuals.max()),

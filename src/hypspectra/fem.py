@@ -8,16 +8,18 @@ identities on the parent lengths.
 
 The stiffness matrix uses the cotangent weights of the Euclidean
 comparison triangle of each face (the Euclidean triangle with the same
-side lengths), while the mass matrix uses the hyperbolic triangle
-areas.  Matrix entries are accumulated in a canonical order, which
-makes assembly invariant under any relabeling of faces: permuting the
-mesh by a symmetry permutes the matrices exactly, with bitwise-equal
-entries.  The element terms are sorted once by (row, column), and only
-the entries with three or more terms are then sorted by value.  The sum
-of one or two terms does not depend on their order (a + b == b + a
-bitwise in IEEE arithmetic), so every entry has the same bits whatever
-order the faces come in, and a relabeled mesh gives the permuted matrix
-bit for bit.
+side lengths), one weight per side (`side_weights`), while the mass
+matrix uses the hyperbolic triangle areas.  An entry off the diagonal
+is a sum over the sides that join its two vertices, and a diagonal
+entry a sum over the corners at its vertex.  Each sum is taken in a
+canonical order, which makes assembly invariant under any relabeling
+of faces: permuting the mesh by a symmetry permutes the matrices
+exactly, with bitwise-equal entries.  The sides are sorted once by
+vertex pair and the corners once by vertex, and only the sums of three
+or more terms are then sorted by value.  The sum of one or two terms
+does not depend on their order (a + b == b + a bitwise in IEEE
+arithmetic), so every entry has the same bits whatever order the faces
+come in, and a relabeled mesh gives the permuted matrix bit for bit.
 
 `prolongation` is the P1 interpolation from a surface to its `refine`,
 which carries eigenvectors of one level up to the next as a starting
@@ -55,10 +57,9 @@ __all__ = [
     "assemble",
     "bisection_codes",
     "dissection",
-    "element_mass",
-    "element_stiffness",
     "prolongation",
     "refine",
+    "side_weights",
 ]
 
 
@@ -234,12 +235,15 @@ class SparsePencil:
         return self.stiffness.shape[0]
 
 
-def element_stiffness(lengths) -> np.ndarray:
-    """Per-face 3x3 cotangent stiffness of the Euclidean comparison triangle.
+def side_weights(lengths) -> np.ndarray:
+    """Per-side half-cotangent weights of the Euclidean comparison triangles.
 
-    Entry (i, j) couples local corners i and j.  Weights are computed
-    from squared lengths and the Euclidean area, with no trigonometric
-    calls: cot(angle_k) = (b^2 + c^2 - a_k^2) / (4 * area).
+    w[f, k] is cot(angle_k) / 2 for the angle at corner k of face f, and
+    couples the two ends of side k (corners k+1 and k+2): the face's
+    stiffness is the sum over its sides of w_k (e_i - e_j)(e_i - e_j)^T
+    (Pinkall & Polthier, Experiment. Math. 2, 1993).  Weights are
+    computed from squared lengths and the Euclidean area, with no
+    trigonometric calls: cot(angle_k) = (b^2 + c^2 - a_k^2) / (4 * area).
     """
     L = np.asarray(lengths, dtype=float)
     hypgeom.validate_triangle_lengths(L[..., 0], L[..., 1], L[..., 2])
@@ -248,42 +252,22 @@ def element_stiffness(lengths) -> np.ndarray:
     srt = np.sort(L, axis=-1)
     x, y, z = srt[..., 2], srt[..., 1], srt[..., 0]
     area4 = np.sqrt((x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z)))
-    cots = np.empty_like(L)
+    w = np.empty_like(L)
     for k in range(3):
-        cots[..., k] = (sq[..., (k + 1) % 3] + sq[..., (k + 2) % 3] - sq[..., k]) / area4
-    elem = np.zeros(L.shape[:-1] + (3, 3))
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        w = 0.5 * cots[..., k]
-        elem[..., i, j] -= w
-        elem[..., j, i] -= w
-        elem[..., i, i] += w
-        elem[..., j, j] += w
-    return elem
+        w[..., k] = 0.5 * ((sq[..., (k + 1) % 3] + sq[..., (k + 2) % 3] - sq[..., k]) / area4)
+    return w
 
 
-def element_mass(lengths) -> np.ndarray:
-    """Per-face 3x3 consistent mass using the hyperbolic triangle area."""
-    L = np.asarray(lengths, dtype=float)
-    T = hypgeom.triangle_areas(L)
-    elem = np.zeros(L.shape[:-1] + (3, 3))
-    for i in range(3):
-        for j in range(3):
-            elem[..., i, j] = T / (6.0 if i == j else 12.0)
-    return elem
+def _group_sums(keys, *values):
+    """Sum each of `values` over the groups of equal `keys`.
 
-
-def _canonical_sum(rows, cols, n):
-    """Summation of COO triples over one pattern: returns vals -> CSR.
-
-    The triples are sorted once, stably, by the key row*n + col.  Each
-    group of three or more terms is then sorted by value, stably, so it
-    is summed in the same order whatever order the elements were emitted
-    in.  A group of two needs no sort: a + b == b + a bitwise.  The
-    order is computed once and serves every value array over the pattern.
+    Returns the distinct keys ascending and one array of group sums per
+    value array.  A group of one or two terms is summed as it comes (a +
+    b == b + a bitwise), and a group of three or more in ascending order
+    of value, so no sum depends on the order the terms were emitted in.
+    The keys are sorted once for all the value arrays.
     """
-    keys = rows.astype(np.int64) * n + cols
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
@@ -291,18 +275,29 @@ def _canonical_sum(rows, cols, n):
     sizes = np.diff(starts, append=len(keys))
     # Positions of the groups of m >= 3 terms, one (groups, m) block per m.
     blocks = [starts[sizes == m, None] + np.arange(m) for m in np.unique(sizes[sizes >= 3])]
-    unique = keys[starts]
-    indptr = np.searchsorted(unique, np.arange(n + 1) * n)
-    indices = unique % n
-
-    def to_csr(vals) -> sparse.csr_matrix:
+    sums = []
+    for vals in values:
         vals = vals[order]
         for pos in blocks:
-            vals[pos] = np.sort(vals[pos], axis=1, kind="stable")
-        return sparse.csr_matrix((np.add.reduceat(vals, starts), indices, indptr),
-                                 shape=(n, n))
+            vals[pos] = np.sort(vals[pos], axis=1)
+        sums.append(np.add.reduceat(vals, starts))
+    return keys[starts], sums
 
-    return to_csr
+
+def _symmetric_csr(n, pairs, *entries):
+    """One n x n CSR matrix per (off, diag) in `entries`, all on one pattern.
+
+    `pairs` are the keys lo * n + hi (lo < hi) of the vertex pairs;
+    off[p] goes to both (lo, hi) and (hi, lo), and diag to the diagonal.
+    """
+    keys = np.concatenate([pairs, pairs % n * n + pairs // n, np.arange(n) * (n + 1)])
+    order = np.argsort(keys)
+    cols = keys[order]
+    del keys
+    indptr = np.searchsorted(cols, np.arange(n + 1) * n)
+    cols %= n
+    return [sparse.csr_matrix((np.concatenate([off, off, diag])[order], cols, indptr),
+                              shape=(n, n)) for off, diag in entries]
 
 
 def assemble(surface: TriangulatedSurface | CutSurface,
@@ -310,23 +305,32 @@ def assemble(surface: TriangulatedSurface | CutSurface,
     """Assemble the P1 pencil (stiffness, mass) over `surface`.
 
     mass is "consistent" (exact P1 Gram with hyperbolic areas) or
-    "lumped" (row sums moved to the diagonal).
+    "lumped" (row sums moved to the diagonal).  An entry off the
+    diagonal sums the sides that join its two vertices, -w per side
+    (`side_weights`) in K and T/12 in B, with T the side's face area.
+    A diagonal entry sums the corners at its vertex, w_{k+1} + w_{k+2}
+    per corner k in K and T/6 in B (T/3 lumped).
     """
     if mass not in ("consistent", "lumped"):
         raise ValueError(f"unknown mass type {mass!r}")
     n = surface.num_vertices
-    ek = element_stiffness(surface.lengths)
-    loc_i = np.broadcast_to(np.arange(3)[:, None], (3, 3))
-    loc_j = np.broadcast_to(np.arange(3)[None, :], (3, 3))
-    rows = surface.faces[:, loc_i].reshape(-1)
-    cols = surface.faces[:, loc_j].reshape(-1)
-    pattern = _canonical_sum(rows, cols, n)
-    K = pattern(ek.reshape(-1))
+    faces = surface.faces
+    areas = (surface.triangle_areas() if isinstance(surface, TriangulatedSurface)
+             else hypgeom.triangle_areas(surface.lengths))
+    w = side_weights(surface.lengths)
+    # Corner k of a face ends its sides k+1 and k+2, and side k joins
+    # its corners k+1 and k+2.
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    _, (k_diag, b_diag) = _group_sums(faces.reshape(-1), (w[:, nxt] + w[:, prv]).reshape(-1),
+                                      np.repeat(areas / (3.0 if mass == "lumped" else 6.0), 3))
+    a, b = faces[:, nxt], faces[:, prv]
+    # 0.0 - w, not -w: a zero weight gives +0.0, as in the element-matrix sum.
+    pairs, (k_off, b_off) = _group_sums((np.minimum(a, b) * n + np.maximum(a, b)).reshape(-1),
+                                        0.0 - w.reshape(-1), np.repeat(areas / 12.0, 3))
+    del w, a, b
     if mass == "lumped":
-        diag = surface.faces.reshape(-1)
-        third = np.repeat(hypgeom.triangle_areas(surface.lengths) / 3.0, 3)
-        B = _canonical_sum(diag, diag, n)(third)
+        (K,) = _symmetric_csr(n, pairs, (k_off, k_diag))
+        B = sparse.csr_matrix((b_diag, np.arange(n), np.arange(n + 1)), shape=(n, n))
     else:
-        B = pattern(element_mass(surface.lengths).reshape(-1))
+        K, B = _symmetric_csr(n, pairs, (k_off, k_diag), (b_off, b_diag))
     return SparsePencil(stiffness=K, mass=B)
-

@@ -144,6 +144,11 @@ class TriangulatedSurface:
         if faces.min() < 0 or not np.all(np.bincount(faces.ravel(),
                                                      minlength=self.num_vertices)):
             raise MeshError("vertex ids must be contiguous 0..V-1")
+        # `fem.assemble` keys each side by its two distinct ends.
+        repeats = faces == np.roll(faces, 1, axis=1)
+        if repeats.any():
+            f, k = np.argwhere(repeats)[0]
+            raise MeshError(f"face {f} has vertex {faces[f, k]} at two corners")
         gf, gs = glue[..., 0], glue[..., 1]
         missing = (gf < 0) | (gf >= F) | (gs < 0) | (gs > 2)
         if missing.any():

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from hypspectra.eigen import dense_oracle
 from hypspectra.fem import SparsePencil
-from hypspectra.hypgeom import GeometryError
+from hypspectra.hypgeom import GeometryError, triangle_areas, validate_triangle_lengths
 
 FROZEN = {
     # equilateral triangle, all sides 1
@@ -86,6 +86,100 @@ def canonical_csr_lexsort(rows, cols, vals, n) -> sparse.csr_matrix:
     mat = sparse.csr_matrix((summed, (rows[starts], cols[starts])), shape=(n, n))
     mat.sum_duplicates()
     return mat
+
+
+def element_stiffness(lengths) -> np.ndarray:
+    """Per-face 3x3 cotangent stiffness of the Euclidean comparison triangle.
+
+    Entry (i, j) couples local corners i and j.  Weights are computed
+    from squared lengths and the Euclidean area, with no trigonometric
+    calls: cot(angle_k) = (b^2 + c^2 - a_k^2) / (4 * area).
+    """
+    L = np.asarray(lengths, dtype=float)
+    validate_triangle_lengths(L[..., 0], L[..., 1], L[..., 2])
+    sq = L**2
+    # Numerically stable Heron form, sides sorted descending.
+    srt = np.sort(L, axis=-1)
+    x, y, z = srt[..., 2], srt[..., 1], srt[..., 0]
+    area4 = np.sqrt((x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z)))
+    cots = np.empty_like(L)
+    for k in range(3):
+        cots[..., k] = (sq[..., (k + 1) % 3] + sq[..., (k + 2) % 3] - sq[..., k]) / area4
+    elem = np.zeros(L.shape[:-1] + (3, 3))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        w = 0.5 * cots[..., k]
+        elem[..., i, j] -= w
+        elem[..., j, i] -= w
+        elem[..., i, i] += w
+        elem[..., j, j] += w
+    return elem
+
+
+def element_mass(lengths) -> np.ndarray:
+    """Per-face 3x3 consistent mass using the hyperbolic triangle area."""
+    L = np.asarray(lengths, dtype=float)
+    T = triangle_areas(L)
+    elem = np.zeros(L.shape[:-1] + (3, 3))
+    for i in range(3):
+        for j in range(3):
+            elem[..., i, j] = T / (6.0 if i == j else 12.0)
+    return elem
+
+
+def canonical_sum(rows, cols, n):
+    """Summation of COO triples over one pattern: returns vals -> CSR.
+
+    The triples are sorted once, stably, by the key row*n + col.  Each
+    group of three or more terms is then sorted by value, stably, so it
+    is summed in the same order whatever order the elements were emitted
+    in.  A group of two needs no sort: a + b == b + a bitwise.  The
+    order is computed once and serves every value array over the pattern.
+    """
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=len(keys))
+    # Positions of the groups of m >= 3 terms, one (groups, m) block per m.
+    blocks = [starts[sizes == m, None] + np.arange(m) for m in np.unique(sizes[sizes >= 3])]
+    unique = keys[starts]
+    indptr = np.searchsorted(unique, np.arange(n + 1) * n)
+    indices = unique % n
+
+    def to_csr(vals) -> sparse.csr_matrix:
+        vals = vals[order]
+        for pos in blocks:
+            vals[pos] = np.sort(vals[pos], axis=1, kind="stable")
+        return sparse.csr_matrix((np.add.reduceat(vals, starts), indices, indptr),
+                                 shape=(n, n))
+
+    return to_csr
+
+
+def reference_pencil(surface, mass="consistent") -> SparsePencil:
+    """The P1 pencil from the 3x3 element matrices, 9 entries per face.
+
+    The reference for `fem.assemble`, which must give these bits from
+    its per-side weights: every element entry goes into its (row, col)
+    group, and `canonical_sum` sums each group.
+    """
+    n = surface.num_vertices
+    loc_i = np.broadcast_to(np.arange(3)[:, None], (3, 3))
+    loc_j = np.broadcast_to(np.arange(3)[None, :], (3, 3))
+    rows = surface.faces[:, loc_i].reshape(-1)
+    cols = surface.faces[:, loc_j].reshape(-1)
+    pattern = canonical_sum(rows, cols, n)
+    K = pattern(element_stiffness(surface.lengths).reshape(-1))
+    if mass == "lumped":
+        diag = surface.faces.reshape(-1)
+        third = np.repeat(triangle_areas(surface.lengths) / 3.0, 3)
+        B = canonical_sum(diag, diag, n)(third)
+    else:
+        B = pattern(element_mass(surface.lengths).reshape(-1))
+    return SparsePencil(stiffness=K, mass=B)
 
 
 def random_pencil(rng, size, singular=False) -> SparsePencil:

@@ -550,6 +550,10 @@ def test_converge_outputs(converge_dir):
     assert all(doc["asserted"].values())
     assert set(doc["ratios"]) == {"1", "2", "3", "4"}
     assert len(doc["ratio_flags"]) == 4      # one interior triple per k
+    # every edge of the default base joins two distinct vertices, and
+    # 12.1, 21.2 and 25.8 % of them carry a negative summed weight
+    assert [(r["vertex_pairs"], r["negative_edge_weights"]) for r in doc["rows"]] == \
+        [(198, 24), (792, 168), (3168, 816)]
     for row in doc["rows"]:
         eig = row["eigen"]
         assert set(eig) == {"operator_applies", "max_residual", "shift", "ncv", "lu_fill"}

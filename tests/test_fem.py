@@ -1,5 +1,7 @@
 import math
 import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from scipy.sparse import csgraph
 
 from hypspectra.cover import cyclic_cover
 from hypspectra.bound import rayleigh
-from hypspectra.fem import (_canonical_sum, assemble, bisection_codes, dissection,
-                            element_mass, element_stiffness, prolongation, refine)
+from hypspectra.fem import (assemble, bisection_codes, dissection, prolongation, refine,
+                            side_weights)
 from hypspectra.hypgeom import GeometryError, triangle_areas
 from hypspectra.surface import (CurveError, FenchelNielsenSpec, build_surface, curve_from_sides,
                                 cut_along)
-from oracles import canonical_csr_lexsort
+from oracles import (SWEEP_CUFFS, canonical_csr_lexsort, canonical_sum, element_mass,
+                     element_stiffness, reference_pencil)
 
 side = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)
 
@@ -166,12 +169,16 @@ def test_dissection_is_deterministic(cuffs):
 
 # -- element matrices ---------------------------------------------------------
 
+def one_triangle(a, b, c):
+    """A one-face "surface": `assemble` reads only faces, lengths and the vertex count."""
+    return SimpleNamespace(faces=np.array([[0, 1, 2]]), lengths=np.array([[a, b, c]]),
+                           num_vertices=3)
+
+
 def test_element_stiffness_against_flat_coordinates():
     # independent route: embed the Euclidean comparison triangle, build
     # P1 gradients from coordinates, and integrate explicitly
     lengths = np.array([[1.1, 0.8, 0.9]])
-    Ke = element_stiffness(lengths)[0]
-
     a, b, c = lengths[0]
     x2 = (b * b + c * c - a * a) / (2 * c)      # corner 2 coordinates
     y2 = math.sqrt(b * b - x2 * x2)
@@ -186,7 +193,12 @@ def test_element_stiffness_against_flat_coordinates():
         normal /= normal @ (pts[k] - p)
         grads[k] = normal
     direct = area * grads @ grads.T
+    # side k joins corners k+1 and k+2 with weight -direct[k+1, k+2]
+    w = side_weights(lengths)[0]
+    assert np.abs(w + direct[[1, 2, 0], [2, 0, 1]]).max() <= 1e-12
+    Ke = assemble(one_triangle(a, b, c)).stiffness.toarray()
     assert np.abs(Ke - direct).max() <= 1e-12
+    assert np.array_equal(Ke, element_stiffness(lengths)[0])
 
 
 @given(side, side, side)
@@ -194,10 +206,16 @@ def test_element_stiffness_against_flat_coordinates():
 def test_element_stiffness_properties(a, b, c):
     if not valid_triangle(a, b, c):
         return
-    Ke = element_stiffness(np.array([[a, b, c]]))[0]
+    w = side_weights(np.array([[a, b, c]]))[0]
+    # cot A cot B + cot B cot C + cot C cot A = 1, and one angle at most is obtuse
+    products = w * w[[1, 2, 0]]
+    assert abs(products.sum() - 0.25) <= 1e-10 * max(1.0, np.abs(products).sum())
+    assert np.count_nonzero(w < 0) <= 1
+    Ke = assemble(one_triangle(a, b, c)).stiffness.toarray()
     assert np.abs(Ke - Ke.T).max() == 0.0
     assert np.abs(Ke.sum(axis=1)).max() <= 1e-12 * max(1.0, np.abs(Ke).max())
     assert np.linalg.eigvalsh(Ke).min() >= -1e-12
+    assert np.array_equal(Ke, element_stiffness(np.array([[a, b, c]]))[0])
 
 
 @given(side, side, side)
@@ -207,26 +225,28 @@ def test_element_mass_sums_to_hyperbolic_area(a, b, c):
         return
     lengths = np.array([[a, b, c]])
     area = float(triangle_areas(lengths[0]))
-    Me = element_mass(lengths)[0]
+    Me = assemble(one_triangle(a, b, c)).mass.toarray()
     assert abs(Me.sum() - area) <= 1e-13 * max(1.0, area)
     assert np.abs(Me - Me.T).max() == 0.0
     assert np.linalg.eigvalsh(Me).min() > 0
+    assert np.array_equal(Me, element_mass(lengths)[0])
 
 
 def test_element_mass_pattern():
-    lengths = np.array([[1.0, 1.0, 1.0]])
-    T = float(triangle_areas(lengths[0]))
-    Me = element_mass(lengths)[0]
+    T = float(triangle_areas(np.array([1.0, 1.0, 1.0])))
+    Me = assemble(one_triangle(1.0, 1.0, 1.0)).mass.toarray()
     assert np.allclose(np.diag(Me), T / 6, rtol=1e-15, atol=0)
     off = Me[~np.eye(3, dtype=bool)]
     assert np.allclose(off, T / 12, rtol=1e-15, atol=0)
+    lumped = assemble(one_triangle(1.0, 1.0, 1.0), mass="lumped").mass.toarray()
+    assert np.array_equal(lumped, np.diag(np.full(3, T / 3)))
 
 
 def test_element_matrices_reject_degenerate():
     with pytest.raises(GeometryError):
-        element_stiffness(np.array([[1.0, 1.0, 2.0]]))
+        side_weights(np.array([[1.0, 1.0, 2.0]]))
     with pytest.raises(GeometryError):
-        element_mass(np.array([[1.0, -1.0, 1.0]]))
+        assemble(one_triangle(1.0, -1.0, 1.0))
 
 
 # -- assembly -----------------------------------------------------------------
@@ -309,7 +329,7 @@ def test_canonical_sum_matches_full_sort_bitwise(seed):
     emissions = [np.arange(len(rows)), np.arange(len(rows))[::-1]]
     emissions += [rng.permutation(len(rows)) for _ in range(4)]
     for order in emissions:
-        assert_same_csr_bits(_canonical_sum(rows[order], cols[order], n)(vals[order]), ref)
+        assert_same_csr_bits(canonical_sum(rows[order], cols[order], n)(vals[order]), ref)
 
 
 def test_canonical_sum_reuses_its_order(base_r0):
@@ -317,7 +337,7 @@ def test_canonical_sum_reuses_its_order(base_r0):
     n = surface.num_vertices
     rows, cols = np.repeat(surface.faces, 3, axis=1), np.tile(surface.faces, 3)
     rows, cols = rows.reshape(-1), cols.reshape(-1)
-    pattern = _canonical_sum(rows, cols, n)
+    pattern = canonical_sum(rows, cols, n)
     rng = np.random.default_rng(5)
     for _ in range(3):
         vals = rng.standard_normal(len(rows))
@@ -326,6 +346,46 @@ def test_canonical_sum_reuses_its_order(base_r0):
     for mat, elem in ((pencil.stiffness, element_stiffness(surface.lengths)),
                       (pencil.mass, element_mass(surface.lengths))):
         assert_same_csr_bits(mat, canonical_csr_lexsort(rows, cols, elem.reshape(-1), n))
+
+
+def most_sides_on_a_pair(mesh) -> int:
+    """The largest number of face sides that join one pair of vertices."""
+    a, b = mesh.faces[:, [1, 2, 0]], mesh.faces[:, [2, 0, 1]]
+    keys = np.minimum(a, b) * mesh.num_vertices + np.maximum(a, b)
+    return int(np.unique(keys, return_counts=True)[1].max())
+
+
+@pytest.mark.parametrize("cuffs", SWEEP_CUFFS)
+def test_assemble_matches_reference_pencil_bits(cuffs):
+    # The per-side sums give the bits of the 9-entry element assembly, on
+    # the base and the cut surface at refine 0-2, with either mass.
+    surface, gamma = build_surface(FenchelNielsenSpec(cuff_lengths=cuffs))
+    for level in range(3):
+        if level:
+            surface, (gamma,) = refine(surface, [gamma])
+        for mesh in (surface, cut_along(surface, gamma)):
+            if cuffs == (6.0, 6.0, 6.0) and level == 0:
+                # two mesh edges join one vertex pair: groups of four sides
+                assert most_sides_on_a_pair(mesh) == 4
+            for mass in ("consistent", "lumped"):
+                mine, ref = assemble(mesh, mass=mass), reference_pencil(mesh, mass=mass)
+                assert_same_csr_bits(mine.stiffness, ref.stiffness)
+                assert_same_csr_bits(mine.mass, ref.mass)
+
+
+def test_assemble_working_memory(base_levels):
+    # Sides and corners, not 9 entries per face: the element-matrix
+    # assembly peaked at 6.4 times the pencil it returned.
+    surface, _ = base_levels[3]
+    tracemalloc.start()
+    try:
+        pencil = assemble(surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+               for m in (pencil.stiffness, pencil.mass))
+    assert peak <= 4 * size
 
 
 def assert_deck_equivariant_bits(mat, deck_vertex):

@@ -193,6 +193,15 @@ def test_validate_rejects_a_gap_in_the_vertex_ids(base_r0):
             rebuild(surface, faces=faces)
 
 
+def test_validate_names_a_face_with_a_repeated_vertex(base_r0):
+    # Assembly keys a side by its two ends, so they must differ.
+    surface, _ = base_r0
+    faces = surface.faces.copy()
+    faces[5, 1] = faces[5, 0]
+    with pytest.raises(MeshError, match=f"face 5 has vertex {faces[5, 0]} at two corners"):
+        rebuild(surface, faces=faces)
+
+
 def test_validate_rejects_self_gluing(base_r0):
     surface, _ = base_r0
     glue = surface.glue.copy()
