@@ -4,24 +4,28 @@ Usage (from the repository root):
 
     python3 devtools/ab_pairs.py --workload many-lifts --pairs 10 --first-seed 101
 
-`--base` (default HEAD) is exported with `git archive` into a temporary
-directory.  For each workload, pair i runs `perfbench/run.py` with seed
-first-seed + i once on the base export and once on the working tree,
-untraced and for the `run_seconds` that BENCHMARK.json sets, and the
-side that runs first alternates from pair to pair, so a drift in the
-machine's speed falls on both sides alike.  Every run prints its result
-line as it finishes.  The summary gives, per workload and metric, each
-side's median and quartiles over its runs, the pairs the working tree
-won (every metric is lower-is-better; ties count for neither side), and
-whether a gain may be claimed: the working tree won at least nine tenths
-of the pairs and the medians differ by more than the base's
-interquartile range.  Uses the standard library only.
+`--base` (default HEAD) is exported with `git archive` into `base/` of a
+temporary directory, and the working tree's files (tracked and untracked,
+but not ignored: `git ls-files -co --exclude-standard`) are copied into
+its sibling `work/`.  Neither side runs in place, and both paths have the
+same length, for perfbench's peak RSS moves with the checkout path.  For
+each workload, pair i runs `perfbench/run.py` with seed first-seed + i
+once on each copy, untraced and for the `run_seconds` that BENCHMARK.json
+sets, and the side that runs first alternates from pair to pair, so a
+drift in the machine's speed falls on both sides alike.  Every run
+prints its result line as it finishes.  The summary gives, per workload
+and metric, each side's median and quartiles over its runs, the pairs
+the working tree won (every metric is lower-is-better; ties count for
+neither side), and whether a gain may be claimed: the working tree won
+at least nine tenths of the pairs and the medians differ by more than
+the base's interquartile range.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,6 +38,17 @@ def export(rev: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def copy_worktree(into: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files into `into`."""
+    listed = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"],
+                            check=True, capture_output=True).stdout.decode()
+    for name in listed.split("\0"):
+        # a tracked file deleted from the working tree is still listed
+        if name and Path(name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(name, into / name)
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -102,9 +117,12 @@ def main() -> int:
 
     out = []
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        trees = {"base": Path(tmp), "work": root}
+        trees = {side: Path(tmp) / side for side in ("base", "work")}
         try:
+            for tree in trees.values():
+                tree.mkdir()
             export(args.base, trees["base"])
+            copy_worktree(trees["work"])
             for workload in args.workload:
                 runs = {"base": [], "work": []}
                 for i in range(args.pairs):

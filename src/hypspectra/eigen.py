@@ -40,15 +40,19 @@ phase, and Haynsworth's inertia additivity (Linear Algebra Appl. 1,
 1968) gives In(A(w)) = In(A_II) + In(S(w)) with the seam Schur
 complement S(w) = A_SS(w) - A_IS(w)^H A_II^{-1} A_IS(w).  One real
 LDL^T factorization of A_II and one solve with the seam columns give
-every S(w) as a combination of three small fixed matrices.  A degree's
-spectrum solves a few low phases for just enough of their lowest
-eigenvalues to hold as many of the cover's as it wants, puts sigma just
-above the smallest values found, counts every phase's eigenvalues below
-sigma through its S(w), and solves each phase with a positive count for
-that many, so Lanczos seldom runs for more than one eigenvalue of a
-phase.  Each phase's count must equal the number of its solved
-eigenvalues below sigma, so no eigenvalue below sigma is missed without
-the solve failing.
+every S(w) as a combination of three small fixed matrices.  S(w) is
+positive definite exactly when it adds nothing to the count, so the
+counts first try a batched Cholesky factorization of a stack of S(w),
+and only a stack that fails is counted eigenvalue by eigenvalue.  A
+degree's spectrum solves a few low phases for just enough of their
+lowest eigenvalues to hold as many of the cover's as it wants, puts
+sigma just above the smallest values found, counts every phase's
+eigenvalues below sigma through its S(w), and then visits only those
+first phases and the phases with a positive count, solving each for as
+many as it counts, so Lanczos seldom runs for more than one eigenvalue
+of a phase.  Each visited phase's count must equal the number of its
+solved eigenvalues below sigma, and every other phase counts none, so
+no eigenvalue below sigma is missed without the solve failing.
 
 The same blocks serve the solves.  The Lanczos shift sigma_L < 0 is the
 same for every phase, so one real LDL^T of A_II(sigma_L), made once per
@@ -116,8 +120,9 @@ SLICE_MARGIN = 1e-6
 LANCZOS_STEPS = 200
 LANCZOS_BACKWARD = 1e-13
 
-# Seam Schur complements per eigvalsh call.  Stacking every phase of a
-# high degree at once costs memory and gains no speed.
+# Seam Schur complements per batched Cholesky factorization (and per
+# eigvalsh call, for a stack that does not factor).  Stacking every phase
+# of a high degree at once costs memory and gains no speed.
 SCHUR_CHUNK = 16
 
 # Seam columns per solve with the interior block.  The 2s columns of a
@@ -447,10 +452,17 @@ def _phase_parts(pencil, base_vertex: np.ndarray, seam) -> tuple:
             parts(slice(K.nnz, None), B.data))
 
 
+def _characters(phases) -> np.ndarray:
+    """Character values w = exp(2 pi i p / q) of a list of phases p/q, as one
+    complex array; w is +-1 exactly where q <= 2."""
+    p, q = np.array(phases).T
+    return np.where(q > 2, np.exp(1j * (2 * np.pi * p / q)), (-1.0) ** p)
+
+
 def _character(phase: tuple):
-    """Character value w = exp(2 pi i p / q) of phase p/q, a real +-1 when q <= 2."""
-    p, q = phase
-    return np.exp(2j * np.pi * p / q) if q > 2 else (-1.0) ** p
+    """Character value of one phase p/q, a real +-1 when q <= 2."""
+    w = _characters([phase])[0]
+    return w if phase[1] > 2 else w.real
 
 
 def _seam_blocks(parts, inner: int) -> list:
@@ -459,22 +471,41 @@ def _seam_blocks(parts, inner: int) -> list:
     The first `inner` base vertices are I, the rest the seam S.  Returns
     one (II, X, SS) per matrix: II is the I x I block, which no phase
     changes; X holds the p = 0 and p = 1 parts of the I x S block side by
-    side; SS stacks the three parts of the S x S block, dense.  Raises
-    unless the p = 1 part has its columns and the p = 2 part its rows on
-    the seam, for then the phase changes no other block, and the S x I
-    block of character w is the conjugate transpose of X0 + w X1.
+    side; SS stacks the three parts of the S x S block, dense.  II and X
+    are CSC and keep every entry of the shared base pattern, so K's and
+    B's blocks have the same indptr and indices and differ only in their
+    data.  The blocks are cut straight from the parts' CSR arrays, whose
+    entries run by row and then by column.  Raises unless the p = 1 part
+    has its columns and the p = 2 part its rows on the seam, for then the
+    phase changes no other block, and the S x I block of character w is
+    the conjugate transpose of X0 + w X1.
     """
     indptr, indices, *matrices = parts
-    V = len(indptr) - 1
+    V, top = len(indptr) - 1, indptr[inner]
+    s = V - inner
+    row = np.repeat(np.arange(V), np.diff(indptr))
+    interior_col = indices < inner
+    # the I x I and I x S entries of the rows in I, each stably sorted by column
+    ii = np.flatnonzero(interior_col[:top])
+    ii = ii[np.argsort(indices[ii], kind="stable")]
+    ix = np.flatnonzero(~interior_col[:top])
+    ix = ix[np.argsort(indices[ix], kind="stable")]
+    ss = top + np.flatnonzero(~interior_col[top:])
+    ii_ptr = np.r_[0, np.cumsum(np.bincount(indices[ii], minlength=inner))]
+    per_col = np.bincount(indices[ix] - inner, minlength=s)
+    ix_ptr = np.r_[0, np.cumsum(np.r_[per_col, per_col])]
+    ix_rows = np.r_[row[ix], row[ix]]
     blocks = []
     for data in matrices:
-        p0, p1, p2 = (sparse.csr_matrix((d, indices, indptr), shape=(V, V)) for d in data)
-        if p1[:, :inner].count_nonzero() or p2[:inner].count_nonzero():
+        if np.count_nonzero(data[1][interior_col]) or np.count_nonzero(data[2][:top]):
             raise EigensolverError("seam Schur complement: a phase-dependent entry "
                                    "lies off the seam's rows and columns")
-        blocks.append((p0[:inner, :inner].tocsc(),
-                       sparse.hstack([m[:inner, inner:] for m in (p0, p1)], format="csc"),
-                       np.stack([m[inner:, inner:].toarray() for m in (p0, p1, p2)])))
+        SS = np.zeros((3, s, s))
+        SS[:, row[ss] - inner, indices[ss] - inner] = data[:, ss]
+        blocks.append((sparse.csc_matrix((data[0][ii], row[ii], ii_ptr), shape=(inner, inner)),
+                       sparse.csc_matrix((np.r_[data[0][ix], data[1][ix]], ix_rows, ix_ptr),
+                                         shape=(inner, 2 * s)),
+                       SS))
     return blocks
 
 
@@ -495,20 +526,26 @@ class CharacterSolver:
     eigenvalues each (one whenever d >= count), which are at least
     count eigenvalues of the cover; puts sigma at SLICE_MARGIN above the
     count-th smallest of them; and counts each phase k/d, k in 0..d//2,
-    below sigma by inertia.  Each phase with count c is then solved for
-    max(c, ceil(count/d)) eigenvalues if it is a boot phase, c if not,
-    so Lanczos runs only on boot phases and phases whose count is
-    positive.  A phase that returns fewer eigenvalues than asked, or
-    whose count differs from its solved eigenvalues below sigma, fails
-    the spectrum by name.  The counts come from the seam Schur
-    complement (Haynsworth): with S the base vertices of the seam and I
-    the rest, A(w) = K(w) - sigma B(w) has the inertia of A_II plus
-    that of
+    below sigma by inertia.  Only the boot phases and the phases with a
+    positive count are visited after that: each with count c is solved
+    for max(c, ceil(count/d)) eigenvalues if it is a boot phase, c if
+    not, so Lanczos runs on no other phase.  A visited phase that returns
+    fewer eigenvalues than asked, or whose count differs from its solved
+    eigenvalues below sigma, fails the spectrum by name; every other
+    phase counts 0 and has no eigenvalue to compare.  The counts come
+    from the seam Schur complement (Haynsworth): with S the base
+    vertices of the seam and I the rest, A(w) = K(w) - sigma B(w) has
+    the inertia of A_II plus that of
     S(w) = (SS0 - G00 - G11) + w (SS1 - G01) + conj(w) (SS2 - G10),
     where SSp is the p-th phase part of A_SS, and Gij = Xi^T A_II^{-1} Xj
     for the p = 0 and p = 1 parts X0, X1 of A_IS.  So one real LDL^T of
     A_II and one solve with the 2s columns of X count every phase of a
-    degree, and each phase costs one s x s Hermitian eigvalsh.
+    degree.  The phases' S(w) are stacked SCHUR_CHUNK at a time, and
+    each stack costs one batched s x s Cholesky factorization: a stack
+    that factors adds nothing to any of its phases' counts (Sylvester: a
+    Hermitian S(w) is positive definite exactly when it has no negative
+    eigenvalue), and only a stack that fails is counted by one s x s
+    Hermitian eigvalsh per phase.
 
     Each phase is solved in lowest terms p/q with w = exp(2 pi i p / q),
     the first time any degree asks it for a given number of eigenvalues,
@@ -557,14 +594,15 @@ class CharacterSolver:
         if self.count > degree * self.dof:
             raise EigensolverError(
                 f"asked for {self.count} eigenvalues of a {degree * self.dof}-dof cover")
-        phases = []
-        for k in range(degree // 2 + 1):
-            g = math.gcd(k, degree)
-            phases.append((k // g, degree // g))
-        copies = [2 if q > 2 else 1 for _, q in phases]
+        ks = np.arange(degree // 2 + 1)
+        g = np.gcd(ks, degree)
+        phases = list(zip((ks // g).tolist(), (degree // g).tolist()))
         lean = -(-self.count // degree)
         boot = min(self.count // 2, degree // 2) + 1
         solved = applies = below = 0
+
+        def copies(k):
+            return 2 if phases[k][1] > 2 else 1
 
         def failure(k, why):
             return EigensolverError(f"character k={k} of degree {degree}: {why}")
@@ -580,8 +618,8 @@ class CharacterSolver:
                 if len(result.values) < want:
                     raise failure(k, f"Lanczos returned {len(result.values)} of the "
                                      f"{want} eigenvalues asked for")
-                self._solves[key] = (np.repeat(result.values, copies[k]),
-                                     np.repeat(result.residuals, copies[k]))
+                self._solves[key] = (np.repeat(result.values, copies(k)),
+                                     np.repeat(result.residuals, copies(k)))
                 solved, applies = solved + 1, applies + result.iterations
             return self._solves[key]
 
@@ -592,9 +630,11 @@ class CharacterSolver:
         except EigensolverError as e:
             raise EigensolverError(f"seam Schur complement of degree {degree} at "
                                    f"sigma={sigma!r}: {e}") from e
+        # Every other phase has count 0 and is asked for nothing, so its
+        # check would read 0 = 0.
         parts = []
-        for k in range(len(phases)):
-            counted = copies[k] * int(counts[k])
+        for k in np.union1d(np.arange(boot), np.flatnonzero(counts)).tolist():
+            counted = copies(k) * int(counts[k])
             want = max(int(counts[k]), lean if k < boot else 0)
             part = solve(k, want) if want else (np.empty(0), np.empty(0))
             returned = int(np.count_nonzero(part[0] < sigma))
@@ -610,15 +650,24 @@ class CharacterSolver:
                                  below_sigma=below)
 
     def _counts(self, phases: list, sigma: float) -> np.ndarray:
-        """Eigenvalues below sigma of each phase's character pencil, by inertia."""
+        """Eigenvalues below sigma of each phase's character pencil, by inertia.
+
+        Each count is A_II's negative pivots plus S(w)'s negative
+        eigenvalues.  A stack of SCHUR_CHUNK phases' S(w) whose batched
+        Cholesky factorization succeeds is positive definite in every
+        phase and adds 0; only a stack that fails is counted by eigvalsh.
+        """
         negative, _, _, _, (fixed, cross, cross_h) = self._interior(sigma, keep_z=False)
-        w = np.array([_character(phase) for phase in phases], dtype=complex)[:, None, None]
+        w = _characters(phases)[:, None, None]
         counts = np.full(len(phases), negative)
         for at in range(0, len(phases), SCHUR_CHUNK):
             chunk = w[at:at + SCHUR_CHUNK]
             schur = fixed + chunk * cross + np.conj(chunk) * cross_h
-            counts[at:at + SCHUR_CHUNK] += np.count_nonzero(np.linalg.eigvalsh(schur) < 0,
-                                                            axis=1)
+            try:
+                np.linalg.cholesky(schur)
+            except np.linalg.LinAlgError:
+                counts[at:at + SCHUR_CHUNK] += np.count_nonzero(np.linalg.eigvalsh(schur) < 0,
+                                                                axis=1)
         return counts
 
     def _interior(self, sigma: float, keep_z: bool) -> tuple:
@@ -631,11 +680,19 @@ class CharacterSolver:
         Z = A_II^{-1} X, (fixed, cross, cross_h)), where S(w) = fixed +
         w cross + conj(w) cross_h is the seam Schur complement of A(w).
         Z is solved SOLVE_COLUMNS columns at a time, and kept whole only
-        if `keep_z` (it is None otherwise).
+        if `keep_z` (it is None otherwise).  A_II and X are k - sigma b on
+        the fixed patterns of K's and B's blocks; A_II then drops the
+        entries that come out exactly 0, so the fill-reducing order sees
+        only its nonzeros, while X keeps them, for they add nothing to its
+        products.
         """
         (KII, KX, KSS), (BII, BX, BSS) = self._seam
+        # a copy, for dropping the zeros rewrites the index arrays in place
+        A = sparse.csc_matrix((KII.data - sigma * BII.data, KII.indices, KII.indptr),
+                              shape=KII.shape, copy=True)
+        A.eliminate_zeros()
         try:
-            lu = splu(KII - sigma * BII, permc_spec="MMD_AT_PLUS_A",
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0, options={"SymmetricMode": True})
         except RuntimeError as e:
             raise EigensolverError(f"LDL^T of the interior block A_II broke down: {e}") from e
@@ -646,7 +703,8 @@ class CharacterSolver:
         pivots = lu.U.diagonal()
         if not np.all(np.isfinite(pivots) & (pivots != 0)):
             raise EigensolverError("the interior block A_II is singular")
-        X = KX - sigma * BX
+        X = sparse.csc_matrix((KX.data - sigma * BX.data, KX.indices, KX.indptr),
+                              shape=KX.shape)
         Z = np.empty(X.shape) if keep_z else None
         G = np.empty((X.shape[1], X.shape[1]))
         for at in range(0, X.shape[1], SOLVE_COLUMNS):

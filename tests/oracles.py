@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from hypspectra.eigen import dense_oracle
+from hypspectra.eigen import _character, dense_oracle
 from hypspectra.fem import SparsePencil
 from hypspectra.hypgeom import GeometryError, triangle_areas, validate_triangle_lengths
 
@@ -208,6 +208,20 @@ def seam_blocks_by_index(parts, seam) -> list:
                        sparse.hstack([m[inner][:, S] for m in (p0, p1)], format="csc"),
                        np.stack([m[S][:, S].toarray() for m in (p0, p1, p2)])))
     return blocks
+
+
+def eigvalsh_counts(solver, phases, sigma) -> tuple:
+    """Reference for `CharacterSolver._counts`: one eigvalsh per phase.
+
+    Returns (the negative pivots of the solver's A_II(sigma), each
+    phase's number of negative eigenvalues of its seam Schur complement
+    S(w)); a phase's count below sigma is their sum.  Every S(w) is
+    counted by eigvalsh, whether or not it factors.
+    """
+    negative, _, _, _, (fixed, cross, cross_h) = solver._interior(sigma, keep_z=False)
+    w = np.array([_character(phase) for phase in phases], dtype=complex)[:, None, None]
+    schur = fixed + w * cross + np.conj(w) * cross_h
+    return negative, np.count_nonzero(np.linalg.eigvalsh(schur) < 0, axis=1)
 
 
 def dense_character_values(solver, phase, count=None) -> np.ndarray:

@@ -14,8 +14,9 @@ from hypspectra.eigen import (DENSE_ORACLE_MAX_DOF, CharacterSolver, Eigensolver
                               dense_oracle, residuals, solve_smallest)
 from hypspectra.fem import (SparsePencil, assemble, bisection_codes, dissection,
                             prolongation, refine)
-from oracles import (colamd_smallest, dense_character_values, random_pencil,
-                     seam_blocks_by_index)
+from hypspectra.surface import FenchelNielsenSpec, build_surface
+from oracles import (SWEEP_CUFFS, colamd_smallest, dense_character_values, eigvalsh_counts,
+                     random_pencil, seam_blocks_by_index)
 
 
 def pencil_from_dense(K, B):
@@ -587,20 +588,44 @@ def test_norm1_equals_scipy_norm_bitwise(base_levels, level):
 @pytest.mark.parametrize("level", [0, 1])
 def test_seam_blocks_by_slices_match_fancy_indexing(base_levels, level):
     # The solver numbers the seam last, so its blocks are contiguous
-    # slices; cut by the vertex lists they must have the same bits.
+    # slices; cut by the vertex lists they must have the same bits, the
+    # explicit zeros of the lumped mass's off-diagonal entries included.
     surface, gamma = base_levels[level]
     cut = cut_along(surface, gamma)
-    solver = character_solver(cut, assemble(cut), count=4)
     s = len(np.unique(cut.base_vertex[cut.right_vertices]))
-    reference = seam_blocks_by_index(solver._parts, np.arange(solver.dof - s, solver.dof))
-    for (II, X, SS), (II_ref, X_ref, SS_ref) in zip(solver._seam, reference, strict=True):
-        for block, ref in ((II, II_ref), (X, X_ref)):
-            assert block.format == ref.format == "csc"
-            assert block.shape == ref.shape
-            for attr in ("indptr", "indices", "data"):
-                assert getattr(block, attr).tobytes() == getattr(ref, attr).tobytes()
-        assert SS.shape == SS_ref.shape == (3, s, s)
-        assert SS.tobytes() == SS_ref.tobytes()
+    for mass in ("consistent", "lumped"):
+        solver = character_solver(cut, assemble(cut, mass=mass), count=4)
+        reference = seam_blocks_by_index(solver._parts, np.arange(solver.dof - s, solver.dof))
+        for (II, X, SS), (II_ref, X_ref, SS_ref) in zip(solver._seam, reference, strict=True):
+            for block, ref in ((II, II_ref), (X, X_ref)):
+                assert block.format == ref.format == "csc"
+                assert block.shape == ref.shape
+                for attr in ("indptr", "indices", "data"):
+                    assert getattr(block, attr).tobytes() == getattr(ref, attr).tobytes()
+            assert SS.shape == SS_ref.shape == (3, s, s)
+            assert SS.tobytes() == SS_ref.tobytes()
+
+
+def test_interior_drops_exact_zeros_and_keeps_the_blocks(small_cover, monkeypatch):
+    # An entry of K_II - sigma B_II that comes out exactly 0 is dropped
+    # before the factorization, as scipy's sparse subtraction drops it,
+    # and the solver's own blocks keep their pattern.
+    solver = character_solver(small_cover.cut, assemble(small_cover.cut), count=4)
+    (KII, _, _), (BII, _, _) = solver._seam
+    sigma = 0.5
+    columns = np.repeat(np.arange(KII.shape[1]), np.diff(KII.indptr))
+    off = np.flatnonzero(KII.indices != columns)[0]
+    KII.data[off] = sigma * BII.data[off]
+    expected = KII - sigma * BII
+    pattern = KII.indptr.copy(), KII.indices.copy()
+    real, factored = eigen.splu, []
+    monkeypatch.setattr(eigen, "splu", lambda A, **kwargs: factored.append(A.copy())
+                        or real(A, **kwargs))
+    solver._interior(sigma, keep_z=False)
+    assert factored[0].nnz == expected.nnz == KII.nnz - 1
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(factored[0], attr).tobytes() == getattr(expected, attr).tobytes()
+    assert np.array_equal(KII.indptr, pattern[0]) and np.array_equal(KII.indices, pattern[1])
 
 
 def test_phase_past_the_step_cap_fails_by_name(small_cover, monkeypatch):
@@ -696,6 +721,90 @@ def test_count_below_matches_dense_on_refinement_two(base_levels):
     assert_counts_match_dense(solver, phases, shifts, values)
 
 
+COUNT_DEGREES = (3, 7, 48, 192)
+
+
+def degree_phases(d):
+    """The phases k/d, k = 0..d//2, in lowest terms, in the order spectrum(d) counts them."""
+    return [(k // math.gcd(k, d), d // math.gcd(k, d)) for k in range(d // 2 + 1)]
+
+
+def slicing_shifts(solver, degrees) -> dict:
+    """Each degree's slicing shift, as its spectrum hands it to the counts,
+    also for a degree that then fails by name."""
+    real, seen, shifts = solver._counts, [], {}
+    solver._counts = lambda phases, sigma: seen.append(sigma) or real(phases, sigma)
+    for d in degrees:
+        try:
+            solver.spectrum(d)
+        except EigensolverError:
+            pass
+        shifts[d] = seen.pop()
+    del solver._counts
+    return shifts
+
+
+def test_characters_equal_the_scalar_formula_bitwise():
+    # One phase at a time in Python scalars, exp(2 pi i p / q) has the
+    # same bits as the array form; q <= 2 gives a real +-1.
+    for d in [*range(1, 200), 3072, 49152]:
+        phases = degree_phases(d)
+        scalar = [np.exp(2j * np.pi * p / q) if q > 2 else (-1.0) ** p for p, q in phases]
+        assert eigen._characters(phases).tobytes() == np.array(scalar, dtype=complex).tobytes()
+        for phase, w in zip(phases, scalar):
+            assert eigen._character(phase) == w
+            assert np.isrealobj(eigen._character(phase)) == (phase[1] <= 2)
+
+
+def test_counts_match_eigvalsh_reference():
+    # The Cholesky-first counts against one eigvalsh per phase, on every
+    # sweep cuff set at refine 0 and 1: at each degree's slicing shift,
+    # also where the degree then fails by name, and on a grid of shifts
+    # that no phase eigenvalue comes within 1e-8 (relative) of.
+    every = sorted(set().union(*map(degree_phases, COUNT_DEGREES)))
+
+    def reference(solver, sigma):
+        negative, schur = eigvalsh_counts(solver, every, sigma)
+        return dict(zip(every, (negative + schur).tolist())), dict(zip(every, schur.tolist()))
+
+    def clear(solver, sigma):
+        # the counts do not move within 1e-8 of sigma, so no eigenvalue lies there
+        counts = reference(solver, sigma)[0]
+        return all(reference(solver, sigma * f)[0] == counts for f in (1 - 1e-8, 1 + 1e-8))
+
+    mixed = all_factor = 0
+    for cuffs in SWEEP_CUFFS:
+        surface, gamma = build_surface(FenchelNielsenSpec(cuff_lengths=cuffs))
+        for level in range(2):
+            if level:
+                surface, (gamma,) = refine(surface, [gamma])
+            cut = cut_along(surface, gamma)
+            solver = character_solver(cut, assemble(cut), count=4)
+            slicing = slicing_shifts(solver, COUNT_DEGREES)
+            shifts = list(slicing.values())
+            for f in (1e-3, 0.1, 0.5):
+                sigma = f * slicing[3]
+                while not clear(solver, sigma):
+                    sigma *= 1.01
+                shifts.append(sigma)
+            for sigma in shifts:
+                counts, schur = reference(solver, sigma)
+                for d in COUNT_DEGREES:
+                    phases = degree_phases(d)
+                    expected = [counts[phase] for phase in phases]
+                    assert solver._counts(phases, sigma).tolist() == expected, \
+                        (cuffs, level, d, sigma)
+                    chunks = [expected[at:at + eigen.SCHUR_CHUNK]
+                              for at in range(0, len(phases), eigen.SCHUR_CHUNK)]
+                    mixed += any(max(c) > 0 == min(c) for c in chunks)
+                    all_factor += not any(schur[phase] for phase in phases)
+    # Chunks that hold positive- and zero-count phases, so that one that
+    # does not factor is counted whole, and degrees whose chunks all
+    # factor (at refine 0-1 only on the default and the short cuffs: on
+    # long cuffs some S(w) is indefinite at every shift).
+    assert mixed and all_factor
+
+
 def test_one_inertia_factorization_per_spectrum(base_levels, monkeypatch):
     real = eigen.splu
     calls = []
@@ -720,7 +829,7 @@ def test_one_inertia_factorization_per_spectrum(base_levels, monkeypatch):
         # that factorization serves every phase's solve
         assert len(calls) == 1 + shared
         assert all(kwargs["options"] == {"SymmetricMode": True} for kwargs in calls)
-        phases = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k in range(1 + d // 2)]
+        phases = degree_phases(d)
         solved = [phase for phase in phases if any(phase == p for p, _ in solver._solves)]
         dense = [dense_character_values(solver, phase, count=8) for phase in solved]
         assert all(v[-1] > result.sigma for v in dense)
@@ -806,3 +915,28 @@ def test_short_phase_fails_by_name(small_cover, paired_phases_miss_lowest):
                        match="character k=1 of degree 3: Lanczos returned 1 of the 2 "
                              "eigenvalues asked for"):
         solver.spectrum(3)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_identity_cover_is_right_or_fails_by_name(base_levels, level):
+    # The degree-1 cover is the base itself.  Its slice can land just
+    # above one copy of a base double eigenvalue, and the phase Lanczos
+    # may then miss the other copy (at count 7 it does for some seeds):
+    # the spectrum must then fail and name the phase, never come back
+    # wrong.
+    surface, gamma = base_levels[level]
+    cut = cut_along(surface, gamma)
+    pencil = assemble(cut)
+    base = assemble(surface)
+    reference = dense_oracle(base, count=9).values
+    scale = base.stiffness.diagonal().sum() / base.dof
+    for count in range(2, 10):
+        for seed in range(4):
+            solver = CharacterSolver(pencil, cut.base_vertex, cut.right_vertices,
+                                     count=count, tol=1e-9, seed=seed)
+            try:
+                result = solver.spectrum(1)
+            except EigensolverError as e:
+                assert re.match(r"character k=0 of degree 1: ", str(e)), (count, seed, e)
+                continue
+            assert_matches(result.values, reference[:count], scale)
