@@ -11,7 +11,7 @@ from .eigen import (CharacterSolver, CharacterSpectrum, EigensolverError, Spectr
 from .fem import SparsePencil, assemble, prolongation, refine, side_weights
 from .surface import (CurveError, FenchelNielsenSpec, MeshCurve, MeshError,
                       TriangulatedSurface, build_surface, curve_from_sides,
-                      cut_along, read_hypmesh, write_hypmesh)
+                      cut_along, write_hypmesh)
 
 __all__ = [
     "BoundError", "BoundReport", "CharacterSolver", "CharacterSpectrum",
@@ -22,6 +22,6 @@ __all__ = [
     "collar_width",
     "curve_from_sides", "cut_along", "cyclic_cover", "dense_oracle",
     "minimax_certificate", "piece_ramps", "prolongation", "ramp_quotient",
-    "ramp_width", "rayleigh", "read_hypmesh", "refine", "residuals", "side_weights",
+    "ramp_width", "rayleigh", "refine", "residuals", "side_weights",
     "solve_smallest", "write_hypmesh",
 ]

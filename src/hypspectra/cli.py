@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,10 +58,10 @@ CSV columns (JSON carries a superset of every table):
                  failed,config_hash
   converge.csv:  level,dof,area,lambda_0..lambda_4,config_hash
 
-Config file: one `key = value` per line, `#` comments.  Keys: cuffs,
-twists, m (three comma-separated cuff lengths, three integer twists,
-cuff subdivision) plus n, N, refine, tol, out, seed, mass, testfn with
-the same meaning as the flags.  Flags override file values.
+Config file: one `key = value` per line, `#` comments, no key twice.
+Every key is also a flag of the same name (`m = 8` or `--m 8`), and a
+list is comma-separated (`cuffs = 2, 2, 2` or `--cuffs 2,2,2`).  Flags
+override file values.
 """
 
 
@@ -69,21 +69,30 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+def _setting(default, help_text: str):
+    """A run setting: its default, and the help text of its file key and flag."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One reproducible run: geometry, cover family, solver knobs."""
+    """One reproducible run: geometry, cover family, solver knobs.
 
-    cuffs: tuple = (2.0, 2.0, 2.0)
-    twists: tuple = (0, 0, 0)
-    m: int = 8
-    refine: int = 2
-    n: int = 2
-    N: tuple = (1, 2, 4, 8)
-    tol: float = 1e-9
-    out: str = "runs"
-    seed: int = 0
-    mass: str = "consistent"
-    testfn: str = "two-sided"
+    Every field is a config file key and a `--<name>` flag; `load_config`
+    parses each value to the type of the field's default.
+    """
+
+    cuffs: tuple = _setting((2.0, 2.0, 2.0), "three cuff lengths, comma-separated")
+    twists: tuple = _setting((0, 0, 0), "three integer twists, in cuff subdivision steps")
+    m: int = _setting(8, "cuff subdivision: mesh edges around each cuff")
+    refine: int = _setting(2, "refinement levels")
+    n: int = _setting(2, "number of designated lifts minus one")
+    N: tuple = _setting((1, 2, 4, 8), "comma-separated cover multipliers")
+    tol: float = _setting(1e-9, "eigensolver tolerance")
+    out: str = _setting("runs", "output directory")
+    seed: int = _setting(0, "solver starting-vector seed")
+    mass: str = _setting("consistent", "mass matrix variant: " + " or ".join(MASS_CHOICES))
+    testfn: str = _setting("two-sided", "test-function ramps: " + " or ".join(TESTFN_CHOICES))
 
     def __post_init__(self):
         if len(self.cuffs) != 3 or not all(c > 0 and math.isfinite(c) for c in self.cuffs):
@@ -120,18 +129,8 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _parse_number_list(text: str, count=None, kind=float):
-    try:
-        items = [kind(p.strip()) for p in text.split(",") if p.strip()]
-    except ValueError as e:
-        raise ConfigError(f"cannot parse {text!r} as {kind.__name__} list: {e}") from e
-    if count is not None and len(items) != count:
-        raise ConfigError(f"expected {count} comma-separated values, got {text!r}")
-    return items
-
-
 def parse_config_file(path) -> dict:
-    """Read `key = value` lines into a raw-string dict."""
+    """Read `key = value` lines into a raw-string dict; a key may appear once."""
     raw = {}
     known = {f.name for f in fields(RunConfig)}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -143,41 +142,31 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
         raw[key] = value
     return raw
 
 
-def _config_from_raw(raw: dict) -> RunConfig:
-    kwargs = {}
-    if "cuffs" in raw:
-        kwargs["cuffs"] = tuple(_parse_number_list(raw["cuffs"], 3, float))
-    if "twists" in raw:
-        kwargs["twists"] = tuple(_parse_number_list(raw["twists"], 3, int))
-    for key, kind in (("m", int), ("n", int), ("refine", int), ("seed", int),
-                      ("tol", float)):
-        if key in raw:
-            try:
-                kwargs[key] = kind(raw[key])
-            except ValueError as e:
-                raise ConfigError(f"cannot parse {key}={raw[key]!r}: {e}") from e
-    if "N" in raw:
-        kwargs["N"] = tuple(_parse_number_list(raw["N"], None, int))
-    for key in ("out", "mass", "testfn"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    return RunConfig(**kwargs)
+def _parse_setting(setting, text: str):
+    """`text` as the type of the setting's default; a tuple is comma-separated."""
+    default = setting.default
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(p.strip()) for p in text.split(",") if p.strip())
+        return type(default)(text)
+    except ValueError as e:
+        raise ConfigError(f"cannot parse {setting.name}={text!r}: {e}") from e
 
 
 def load_config(args) -> RunConfig:
     """Defaults, then config file, then flags; flags win."""
     raw = parse_config_file(args.config) if args.config else {}
-    config = _config_from_raw(raw)
     flags = vars(args)
-    overrides = {f.name: flags[f.name] for f in fields(RunConfig)
-                 if flags.get(f.name) is not None}
-    if "N" in overrides:
-        overrides["N"] = tuple(_parse_number_list(overrides["N"], None, int))
-    return replace(config, **overrides)
+    raw.update({f.name: flags[f.name] for f in fields(RunConfig)
+                if flags.get(f.name) is not None})
+    return RunConfig(**{f.name: _parse_setting(f, raw[f.name])
+                        for f in fields(RunConfig) if f.name in raw})
 
 
 def _envelope(config: RunConfig) -> dict:
@@ -618,15 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("oracle-check", "cross-validate the eigensolver and mesh invariants")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="key = value config file")
-        p.add_argument("--n", type=int, help="number of designated lifts minus one")
-        p.add_argument("--N", metavar="LIST", help="comma-separated cover multipliers")
-        p.add_argument("--refine", type=int, help="refinement levels")
-        p.add_argument("--tol", type=float, help="eigensolver tolerance")
-        p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--seed", type=int, help="solver starting-vector seed")
-        p.add_argument("--mass", choices=MASS_CHOICES, help="mass matrix variant")
-        p.add_argument("--testfn", choices=TESTFN_CHOICES,
-                       help="test-function ramp variant")
+        for setting in fields(RunConfig):
+            p.add_argument(f"--{setting.name}", help=setting.metadata["help"])
     return parser
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "build_surface",
     "curve_from_sides",
     "cut_along",
-    "read_hypmesh",
     "write_hypmesh",
 ]
 
@@ -201,13 +200,12 @@ class TriangulatedSurface:
     def vertex_graph(self) -> sparse.csr_matrix:
         """Symmetric sparse matrix of edge lengths between vertex ids.
 
-        Parallel mesh edges between the same vertex pair keep the
-        minimum length, which is what shortest-path queries need.
+        Every edge enters from both of its sides.  A vertex pair keeps
+        the minimum length over its entries, both sides of an edge and
+        any parallel edges, which is what shortest-path queries need.
         """
         if self._vertex_graph is None:
-            sides = self.canonical_sides()
-            self._vertex_graph = _length_graph(self.faces, self.lengths, sides[:, 0],
-                                               sides[:, 1], self.num_vertices)
+            self._vertex_graph = _length_graph(self.faces, self.lengths, self.num_vertices)
         return self._vertex_graph
 
     def face_adjacency(self, exclude_sides=()) -> sparse.csr_matrix:
@@ -229,8 +227,9 @@ class TriangulatedSurface:
                                  shape=(n, n))
 
 
-def _length_graph(faces, lengths, f, s, num_vertices) -> sparse.csr_matrix:
-    """Symmetric edge-length matrix of the sides (f, s); parallel edges keep the minimum."""
+def _length_graph(faces, lengths, num_vertices) -> sparse.csr_matrix:
+    """Symmetric edge-length matrix over every side; parallel edges keep the minimum."""
+    f, s = np.indices(faces.shape).reshape(2, -1)
     u = faces[f, (s + 1) % 3]
     v = faces[f, (s + 2) % 3]
     w = lengths[f, s]
@@ -492,13 +491,11 @@ class CutSurface:
     curve_length: float
 
     def vertex_graph(self) -> sparse.csr_matrix:
-        """Edge-length matrix like `TriangulatedSurface.vertex_graph`, over every side.
+        """Edge-length matrix like `TriangulatedSurface.vertex_graph`.
 
-        An edge inside the surface enters from both of its sides with
-        the same length; a boundary edge from its one side.
+        A boundary edge enters from its one side.
         """
-        f, s = np.indices(self.faces.shape).reshape(2, -1)
-        return _length_graph(self.faces, self.lengths, f, s, self.num_vertices)
+        return _length_graph(self.faces, self.lengths, self.num_vertices)
 
 
 def cut_along(surface: TriangulatedSurface, curve: MeshCurve) -> CutSurface:
@@ -596,116 +593,3 @@ def write_hypmesh(path, surface: TriangulatedSurface, curves=None) -> None:
     data = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(data)
-
-
-class _LineReader:
-    def __init__(self, path):
-        with open(path) as fh:
-            raw = fh.read().splitlines()
-        self.lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)
-                      if ln.strip() and not ln.lstrip().startswith("#")]
-        self.pos = 0
-
-    def next(self, what: str):
-        if self.pos >= len(self.lines):
-            raise MeshError(f"unexpected end of file while reading {what}")
-        no, ln = self.lines[self.pos]
-        self.pos += 1
-        return no, ln
-
-    @property
-    def exhausted(self):
-        return self.pos >= len(self.lines)
-
-
-def read_hypmesh(path):
-    """Parse a HYPMESH file.
-
-    Returns (surface, curves), curves mapping each CURVE block's name
-    to the MeshCurve along exactly the sides it lists.  Malformed input
-    raises MeshError with the offending line number, or with the name
-    of a CURVE whose sides do not form a closed simple curve.
-    """
-    rd = _LineReader(path)
-    no, ln = rd.next("header")
-    if ln != "HYPMESH 1":
-        raise MeshError(f"line {no}: expected 'HYPMESH 1' header, got {ln!r}")
-    no, ln = rd.next("count line")
-    parts = ln.split()
-    if len(parts) != 4 or parts[0] != "F" or parts[2] != "G":
-        raise MeshError(f"line {no}: expected 'F <faces> G <genus>'")
-    try:
-        nf, genus = int(parts[1]), int(parts[3])
-    except ValueError:
-        raise MeshError(f"line {no}: face count and genus must be integers") from None
-    faces = np.empty((nf, 3), dtype=np.int64)
-    lengths = np.empty((nf, 3), dtype=np.float64)
-    for f in range(nf):
-        no, ln = rd.next(f"face {f}")
-        parts = ln.split()
-        if len(parts) != 6:
-            raise MeshError(f"line {no}: face line needs 'v0 v1 v2 len0 len1 len2'")
-        try:
-            faces[f] = [int(p) for p in parts[:3]]
-            lengths[f] = [float(p) for p in parts[3:]]
-        except ValueError:
-            raise MeshError(f"line {no}: malformed face line") from None
-    glue = np.full((nf, 3, 2), -1, dtype=np.int64)
-    for _ in range(3 * nf // 2):
-        no, ln = rd.next("gluing line")
-        parts = ln.split()
-        if len(parts) != 4:
-            raise MeshError(f"line {no}: gluing line needs 'f1 side1 f2 side2'")
-        try:
-            f1, s1, f2, s2 = (int(p) for p in parts)
-        except ValueError:
-            raise MeshError(f"line {no}: malformed gluing line") from None
-        for (a, b) in ((f1, s1), (f2, s2)):
-            if not (0 <= a < nf and 0 <= b < 3):
-                raise MeshError(f"line {no}: gluing refers to missing side {a} {b}")
-            if glue[a, b, 0] != -1:
-                raise MeshError(f"line {no}: side {a} {b} glued twice")
-        glue[f1, s1] = (f2, s2)
-        glue[f2, s2] = (f1, s1)
-    if np.any(glue < 0):
-        raise MeshError("gluing lines do not cover every side")
-    try:
-        surface = TriangulatedSurface(faces, lengths, glue)
-    except MeshError as e:
-        raise MeshError(f"invalid mesh in {path}: {e}") from None
-    if surface.genus != genus:
-        raise MeshError(f"header genus {genus} but mesh has genus {surface.genus}")
-
-    def ints(no, fields, what):
-        try:
-            return [int(p) for p in fields]
-        except ValueError:
-            got = " ".join(fields)
-            raise MeshError(f"line {no}: expected integer {what}, got {got!r}") from None
-
-    curves = {}
-    while not rd.exhausted:
-        no, ln = rd.next("block")
-        parts = ln.split()
-        if parts[0] != "CURVE":
-            raise MeshError(f"line {no}: unrecognized block {parts[0]!r}")
-        if len(parts) != 3:
-            raise MeshError(f"line {no}: expected 'CURVE <name> <edges>'")
-        name, (cnt,) = parts[1], ints(no, parts[2:], "header fields")
-        if cnt < 0:
-            raise MeshError(f"line {no}: negative count {cnt}")
-        sides = []
-        for _ in range(cnt):
-            no, ln = rd.next(f"curve {name}")
-            parts = ln.split()
-            if len(parts) != 2:
-                raise MeshError(f"line {no}: expected 'face side'")
-            f, s = ints(no, parts, "face and side")
-            if not (0 <= f < nf and 0 <= s < 3):
-                raise MeshError(f"line {no}: side {f} {s} does not exist")
-            sides.append((f, s))
-        try:
-            curves[name] = curve_from_sides(surface, sides)
-        except CurveError as e:
-            raise MeshError(f"CURVE {name}: {e}") from None
-    return surface, curves

@@ -8,6 +8,7 @@ bitwise equality.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -16,6 +17,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from hypspectra.eigen import _character, dense_oracle
 from hypspectra.fem import SparsePencil
 from hypspectra.hypgeom import GeometryError, triangle_areas, validate_triangle_lengths
+from hypspectra.surface import TriangulatedSurface, curve_from_sides
 
 FROZEN = {
     # equilateral triangle, all sides 1
@@ -233,6 +235,31 @@ def dense_character_values(solver, phase, count=None) -> np.ndarray:
     """
     K, B = solver._pencil(phase)
     return dense_oracle(SparsePencil(stiffness=K, mass=B), count=count or solver.dof).values
+
+
+def read_hypmesh(path):
+    """Reference HYPMESH reader for files `write_hypmesh` wrote: (surface, curves).
+
+    It reads the faces, lengths, gluing and `CURVE` sides, and checks
+    nothing beyond what `TriangulatedSurface` and `curve_from_sides` do.
+    """
+    lines = [line.split() for line in Path(path).read_text().splitlines()
+             if line.strip() and not line.startswith("#")]
+    F = int(lines[1][1])
+    faces = [[int(v) for v in line[:3]] for line in lines[2:2 + F]]
+    lengths = [[float(x) for x in line[3:]] for line in lines[2:2 + F]]
+    glue = np.empty((F, 3, 2), dtype=np.int64)
+    at = 2 + F + 3 * F // 2
+    for f1, s1, f2, s2 in (map(int, line) for line in lines[2 + F:at]):
+        glue[f1, s1], glue[f2, s2] = (f2, s2), (f1, s1)
+    surface = TriangulatedSurface(faces, lengths, glue)
+    curves = {}
+    while at < len(lines):
+        _, name, count = lines[at]
+        sides = [(int(f), int(s)) for f, s in lines[at + 1:at + 1 + int(count)]]
+        curves[name] = curve_from_sides(surface, sides)
+        at += 1 + int(count)
+    return surface, curves
 
 
 def colamd_smallest(pencil, count, tol=1e-9, seed=0):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,7 @@ from hypspectra.cli import (CSV_DOC, MASS_CHOICES, TESTFN_CHOICES, ConfigError, 
                             parse_config_file)
 from hypspectra.cover import cyclic_cover
 from hypspectra.eigen import CharacterSolver, EigensolverError
-from hypspectra.surface import read_hypmesh
-from oracles import FAR_CUFFS, SWEEP_CUFFS
+from oracles import FAR_CUFFS, SWEEP_CUFFS, read_hypmesh
 
 TINY = ["--refine", "0", "--n", "1", "--N", "1,2"]
 ENVELOPE = ["timestamp", "version", "config_hash", "config"]
@@ -123,17 +123,49 @@ def test_config_file_then_flags(tmp_path):
     assert config.refine == 2            # untouched default
 
 
+# Per setting, a value other than its default (text, parsed) and a second
+# value other than the first (text, parsed).
+SETTING_VALUES = {
+    "cuffs": ("1.5, 2, 2.5", (1.5, 2.0, 2.5), "3,3,3", (3.0, 3.0, 3.0)),
+    "twists": ("-1, 0, 2", (-1, 0, 2), "0,0,4", (0, 0, 4)),
+    "m": ("6", 6, "10", 10),
+    "refine": ("4", 4, "0", 0),
+    "n": ("3", 3, "1", 1),
+    "N": ("5", (5,), "2, 3", (2, 3)),
+    "tol": ("1e-5", 1e-5, "1e-7", 1e-7),
+    "out": ("a", "a", "b", "b"),
+    "seed": ("5", 5, "7", 7),
+    "mass": ("lumped", "lumped", "consistent", "consistent"),
+    "testfn": ("one-sided", "one-sided", "two-sided", "two-sided"),
+}
+
+
 def test_every_flag_overrides_the_file(tmp_path):
+    assert list(SETTING_VALUES) == [f.name for f in fields(RunConfig)]
     path = tmp_path / "run.cfg"
-    path.write_text("n = 3\nN = 5\nrefine = 4\ntol = 1e-5\nout = a\nseed = 5\n"
-                    "mass = lumped\ntestfn = one-sided\n")
-    args = build_parser().parse_args([
-        "sweep", "--config", str(path), "--n", "1", "--N", "2, 3", "--refine", "0",
-        "--tol", "1e-7", "--out", "b", "--seed", "7", "--mass", "consistent",
-        "--testfn", "two-sided"])
-    config = load_config(args)
-    assert config == RunConfig(n=1, N=(2, 3), refine=0, tol=1e-7, out="b", seed=7,
-                               mass="consistent", testfn="two-sided")
+    path.write_text("".join(f"{name} = {v[0]}\n" for name, v in SETTING_VALUES.items()))
+    flags = [f"--{name}={v[2]}" for name, v in SETTING_VALUES.items()]
+    config = load_config(build_parser().parse_args(["sweep", "--config", str(path)] + flags))
+    assert config == RunConfig(**{name: v[3] for name, v in SETTING_VALUES.items()})
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_file_key_and_flag_give_equal_configs(tmp_path, name):
+    text, value = SETTING_VALUES[name][:2]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{name} = {text}\n")
+    from_file = load_config(build_parser().parse_args(["sweep", "--config", str(path)]))
+    from_flag = load_config(build_parser().parse_args(["sweep", f"--{name}={text}"]))
+    assert from_file == from_flag == replace(RunConfig(), **{name: value})
+    assert from_file != RunConfig()
+
+
+def test_config_file_repeated_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 3\nseed = 1\nn = 4\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:3: key 'n' given twice")):
+        parse_config_file(path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_config_file_unknown_key(tmp_path):

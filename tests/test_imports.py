@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used, and every export exists.
+"""Every imported name in the package, its tests, devtools and scripts is used,
+and every export exists.
 
 No linter ships with the project, so this scans the syntax trees: a name
 an `import` binds must be read somewhere else in the same module.
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py")
+MODULES = sorted(p for top in ("src", "tests", "devtools", "scripts")
+                 for p in (ROOT / top).rglob("*.py")
                  if p.name != "__init__.py")
 EXPORTING = sorted(".".join(p.relative_to(ROOT / "src").with_suffix("").parts)
                    .removesuffix(".__init__")
